@@ -28,16 +28,6 @@
 // percentiles and syscalls per lookup from the counting env. Results go to
 // BENCH_io_concurrent.json.
 //
-// A fifth section isolates the memtable: plain MemEnv (no simulated device
-// latency), no sync, a buffer large enough that nothing flushes, and
-// 16-op batches of ~100 B values — so the WAL append is trivial and the
-// serialized portion of each commit is dominated by memtable insertion.
-// Arms: allow_concurrent_memtable_write off (leader applies every batch
-// serially) vs on (followers insert their own batches in parallel through
-// the lock-free skiplist + ConcurrentArena). Reports throughput and
-// per-batch latency percentiles at 1/2/4/8 writer threads plus the arena
-// backing/contention counters, and writes BENCH_memtable.json.
-//
 // Pass --smoke for a tiny CI-sized run of all sections.
 
 #include <atomic>
@@ -70,7 +60,6 @@ int g_reads_per_thread = 1200;
 int g_writes_per_thread = 600;
 int g_io_num_keys = 20000;
 int g_io_batches_per_thread = 150;
-int g_memtable_batches_per_thread = 2000;
 constexpr int kIoMultiGetBatch = 16;
 // --json: build every DB with enable_metrics and dump the read-path and
 // mixed-path histogram snapshots to BENCH_obs.json at exit.
@@ -249,101 +238,6 @@ double MeasureWriteThroughput(DB* db, int threads, bool serialize, bool sync,
   return static_cast<double>(threads) * g_writes_per_thread / secs;
 }
 
-// --- Section 5: concurrent memtable write scaling -------------------------
-
-struct MemtableDb {
-  std::unique_ptr<Env> env;
-  std::unique_ptr<DB> db;
-};
-
-// Plain MemEnv, huge buffer (nothing flushes mid-measurement), no device
-// latency: the only contended resource is the memtable write path itself.
-MemtableDb BuildMemtableDb(bool concurrent) {
-  MemtableDb t;
-  t.env = NewMemEnv();
-
-  DbOptions options;
-  options.env = t.env.get();
-  options.merge_policy = MergePolicy::kLeveling;
-  options.size_ratio = 4.0;
-  options.buffer_size_bytes = 256u << 20;
-  options.bits_per_entry = 5.0;
-  options.page_size = kPageSize;
-  options.background_compaction = true;
-  options.allow_concurrent_memtable_write = concurrent;
-
-  Status s = DB::Open(options, "/db", &t.db);
-  if (!s.ok()) {
-    fprintf(stderr, "Open failed: %s\n", s.ToString().c_str());
-    abort();
-  }
-  return t;
-}
-
-struct MemtableArm {
-  double ops_per_sec = 0;
-  HistogramData batch_latency_ns;
-};
-
-// Aggregate single-op throughput (16-op batches) with `threads` writer
-// threads over disjoint key ranges; per-batch commit latency lands in one
-// shared lock-free histogram. Batches are pre-built before the clock
-// starts: with zero think time every writer is back inside Write() the
-// moment its previous commit finishes, so the queue stays populated and
-// write groups actually form — the regime the parallel apply path exists
-// for. `round` keeps key ranges distinct across measurements on the same
-// DB.
-MemtableArm MeasureMemtableWrites(DB* db, int threads,
-                                  std::atomic<int>* errors, int round) {
-  constexpr int kOpsPerBatch = 16;
-  const std::string value(100, 'm');
-  std::vector<std::vector<WriteBatch>> prebuilt(threads);
-  for (int t = 0; t < threads; t++) {
-    const std::string prefix =
-        "m" + std::to_string(round) + "_" + std::to_string(t) + "_";
-    prebuilt[t].resize(g_memtable_batches_per_thread);
-    for (int b = 0; b < g_memtable_batches_per_thread; b++) {
-      for (int i = 0; i < kOpsPerBatch; i++) {
-        const std::string key = prefix + std::to_string(b * kOpsPerBatch + i);
-        prebuilt[t][b].Put(key, value);
-      }
-    }
-  }
-
-  Histogram hist;
-  std::vector<std::thread> workers;
-  const auto start = std::chrono::steady_clock::now();
-  for (int t = 0; t < threads; t++) {
-    workers.emplace_back([&, t] {
-      WriteOptions wo;
-      for (const WriteBatch& batch : prebuilt[t]) {
-        const auto batch_start = std::chrono::steady_clock::now();
-        const Status s = db->Write(wo, batch);
-        hist.Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - batch_start)
-                .count()));
-        if (!s.ok()) {
-          errors->fetch_add(1);
-          break;
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  MemtableArm arm;
-  arm.ops_per_sec = static_cast<double>(threads) *
-                    g_memtable_batches_per_thread * kOpsPerBatch / secs;
-  HistogramMerger merger;
-  merger.Add(hist);
-  arm.batch_latency_ns = merger.Snapshot();
-  return arm;
-}
-
 // --- Section 4: concurrent MultiGet on a real filesystem backend ---------
 
 struct IoConcurrentRow {
@@ -430,7 +324,6 @@ int main(int argc, char** argv) {
       g_writes_per_thread = 60;
       g_io_num_keys = 5000;
       g_io_batches_per_thread = 25;
-      g_memtable_batches_per_thread = 100;
     }
   }
 
@@ -593,92 +486,6 @@ int main(int argc, char** argv) {
     w.EndArray();
     printf("\n");
     w.WriteFile("BENCH_io_concurrent.json");
-  }
-
-  // Memtable write scaling: serial vs parallel write-group application.
-  {
-    const unsigned hw_threads = std::thread::hardware_concurrency();
-    printf("\nMemtable write scaling: 16-op batches, 100 B values, no sync,"
-           "\nno flushes (serial apply vs concurrent skiplist inserts),"
-           "\n%u hardware thread(s):\n\n", hw_threads);
-    if (hw_threads < 8) {
-      printf("NOTE: fewer hardware threads than the widest arm — parallel\n"
-             "apply cannot overlap inserts here; expect speedup < 1 from\n"
-             "the lock-free insert overhead alone. The >= 1.5x scaling\n"
-             "target applies on >= 8-core hosts.\n\n");
-    }
-    printf("%8s %14s %14s %9s %12s %12s\n", "threads", "serial", "concurrent",
-           "speedup", "ser p99(us)", "con p99(us)");
-
-    struct MemtableRow {
-      int threads;
-      MemtableArm serial, concurrent;
-    };
-    MemtableDb serial_db = BuildMemtableDb(/*concurrent=*/false);
-    MemtableDb concurrent_db = BuildMemtableDb(/*concurrent=*/true);
-    std::vector<MemtableRow> memtable_rows;
-    int memtable_round = 0;
-    for (int threads : kThreadCounts) {
-      MemtableRow row{threads, {}, {}};
-      row.serial = MeasureMemtableWrites(serial_db.db.get(), threads,
-                                         &errors, memtable_round++);
-      row.concurrent = MeasureMemtableWrites(concurrent_db.db.get(), threads,
-                                             &errors, memtable_round++);
-      memtable_rows.push_back(row);
-      printf("%8d %12.0f/s %12.0f/s %8.2fx %12.1f %12.1f\n", threads,
-             row.serial.ops_per_sec, row.concurrent.ops_per_sec,
-             row.concurrent.ops_per_sec / row.serial.ops_per_sec,
-             row.serial.batch_latency_ns.p99 / 1000.0,
-             row.concurrent.batch_latency_ns.p99 / 1000.0);
-    }
-
-    const DbStats cstats = concurrent_db.db->GetStats();
-    printf("\narena backing: %s (%llu hugetlb / %llu thp / %llu plain "
-           "blocks), %llu parallel groups (%llu batches), "
-           "%llu arena cas retries, %llu skiplist cas retries\n",
-           cstats.arena_backing.c_str(),
-           static_cast<unsigned long long>(cstats.arena_hugetlb_blocks),
-           static_cast<unsigned long long>(cstats.arena_thp_blocks),
-           static_cast<unsigned long long>(cstats.arena_plain_blocks),
-           static_cast<unsigned long long>(cstats.memtable_parallel_groups),
-           static_cast<unsigned long long>(cstats.memtable_parallel_batches),
-           static_cast<unsigned long long>(cstats.arena_cas_retries),
-           static_cast<unsigned long long>(cstats.skiplist_cas_retries));
-
-    BenchJsonWriter w("concurrent_throughput");
-    w.Config("ops_per_batch", 16);
-    w.Config("value_bytes", 100);
-    w.Config("batches_per_thread", g_memtable_batches_per_thread);
-    w.BeginObject("arena");
-    w.Field("backing", cstats.arena_backing);
-    w.Field("hugetlb_blocks", cstats.arena_hugetlb_blocks);
-    w.Field("thp_blocks", cstats.arena_thp_blocks);
-    w.Field("plain_blocks", cstats.arena_plain_blocks);
-    w.Field("cas_retries", cstats.arena_cas_retries);
-    w.Field("skiplist_cas_retries", cstats.skiplist_cas_retries);
-    w.Field("parallel_groups", cstats.memtable_parallel_groups);
-    w.Field("parallel_batches", cstats.memtable_parallel_batches);
-    w.EndObject();
-    w.BeginArray("rows");
-    for (const MemtableRow& row : memtable_rows) {
-      w.BeginObject();
-      w.Field("threads", row.threads);
-      w.Field("serial_ops_per_sec", row.serial.ops_per_sec);
-      w.Field("concurrent_ops_per_sec", row.concurrent.ops_per_sec);
-      w.Field("speedup",
-              row.concurrent.ops_per_sec / row.serial.ops_per_sec);
-      w.BeginObject("serial_batch_us");
-      w.Field("p50", row.serial.batch_latency_ns.p50 / 1000.0);
-      w.Field("p99", row.serial.batch_latency_ns.p99 / 1000.0);
-      w.EndObject();
-      w.BeginObject("concurrent_batch_us");
-      w.Field("p50", row.concurrent.batch_latency_ns.p50 / 1000.0);
-      w.Field("p99", row.concurrent.batch_latency_ns.p99 / 1000.0);
-      w.EndObject();
-      w.EndObject();
-    }
-    w.EndArray();
-    w.WriteFile("BENCH_memtable.json");
   }
 
   {

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "harness.h"
 
@@ -64,6 +66,20 @@ void BM_Crc32cPortable(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(4096)->Arg(65536);
 
+// Keys for the timed loops, generated before the clock starts so a loop
+// times the component rather than std::to_string. The loops cycle through
+// kLoopKeys keys: "key" + rng.Uniform(range), or + rng.Next() when range
+// is 0.
+constexpr size_t kLoopKeys = 1 << 16;
+std::vector<std::string> LoopKeys(uint64_t seed, uint64_t range) {
+  Random rng(seed);
+  std::vector<std::string> keys(kLoopKeys);
+  for (std::string& key : keys) {
+    key = "key" + std::to_string(range == 0 ? rng.Next() : rng.Uniform(range));
+  }
+  return keys;
+}
+
 void BM_BloomBuild(benchmark::State& state) {
   const int n = state.range(0);
   for (auto _ : state) {
@@ -85,9 +101,10 @@ void BM_BloomQuery(benchmark::State& state) {
     builder.AddKey(key);
   }
   const std::string filter = builder.Finish(10.0);
-  Random rng(1);
+  const std::vector<std::string> keys = LoopKeys(1, 200000);
+  size_t i = 0;
   for (auto _ : state) {
-    const std::string key = "key" + std::to_string(rng.Uniform(200000));
+    const std::string& key = keys[i++ & (kLoopKeys - 1)];
     benchmark::DoNotOptimize(BloomFilterReader::MayContain(filter, key));
   }
   state.SetItemsProcessed(state.iterations());
@@ -101,9 +118,10 @@ void BM_BlockedBloomQuery(benchmark::State& state) {
     builder.AddKey(key);
   }
   const std::string filter = builder.Finish(10.0);
-  Random rng(1);
+  const std::vector<std::string> keys = LoopKeys(1, 200000);
+  size_t i = 0;
   for (auto _ : state) {
-    const std::string key = "key" + std::to_string(rng.Uniform(200000));
+    const std::string& key = keys[i++ & (kLoopKeys - 1)];
     benchmark::DoNotOptimize(
         BlockedBloomFilterReader::MayContain(filter, key));
   }
@@ -115,12 +133,11 @@ void BM_MemTableInsert(benchmark::State& state) {
   InternalKeyComparator cmp(BytewiseComparator());
   auto mem = std::make_unique<MemTable>(cmp);
   SequenceNumber seq = 0;
-  Random rng(2);
+  const std::vector<std::string> keys = LoopKeys(2, 0);
   const std::string value(64, 'v');
   for (auto _ : state) {
-    const std::string key = "key" + std::to_string(rng.Next());
-    mem->Add(++seq, ValueType::kValue, key,
-             value);
+    const std::string& key = keys[seq & (kLoopKeys - 1)];
+    mem->Add(++seq, ValueType::kValue, key, value);
     if (mem->ApproximateMemoryUsage() > (64 << 20)) {
       state.PauseTiming();
       mem = std::make_unique<MemTable>(cmp);
@@ -138,12 +155,11 @@ void BM_MemTableGet(benchmark::State& state) {
     const std::string key = "key" + std::to_string(i);
     mem.Add(i + 1, ValueType::kValue, key, "value");
   }
-  Random rng(3);
+  const std::vector<std::string> keys = LoopKeys(3, 100000);
+  size_t i = 0;
   std::string value;
   for (auto _ : state) {
-    const std::string key = "key" + std::to_string(rng.Uniform(100000));
-    LookupKey lookup(key,
-                     kMaxSequenceNumber);
+    LookupKey lookup(keys[i++ & (kLoopKeys - 1)], kMaxSequenceNumber);
     bool found;
     benchmark::DoNotOptimize(mem.Get(lookup, &value, &found));
   }

@@ -58,26 +58,6 @@ class OptionalTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Memtable configuration derived from the DB's knobs. The classic path
-// keeps arena_block_size = 0 (Arena's historical 4 KiB default — flush
-// accounting granularity the figure benches depend on). The concurrent
-// path defaults to 2 MiB blocks (one hugepage) but halves down to at most
-// buffer_size/2 (floor 64 KiB) so a small write buffer is not blown past
-// its flush threshold by a single block.
-MemTableOptions MemTableOptionsFromDb(const DbOptions& options) {
-  MemTableOptions mopts;
-  mopts.concurrent_inserts = options.allow_concurrent_memtable_write;
-  mopts.arena_block_size = options.arena_block_size;
-  if (mopts.concurrent_inserts && mopts.arena_block_size == 0) {
-    size_t block = ConcurrentArena::kHugePageSize;
-    while (block > (64u << 10) && block > options.buffer_size_bytes / 2) {
-      block /= 2;
-    }
-    mopts.arena_block_size = block;
-  }
-  return mopts;
-}
-
 }  // namespace
 
 // Windowed (ring-of-epochs) views advanced once per DumpMetrics scrape;
@@ -96,8 +76,7 @@ DB::DB(const DbOptions& options, std::string name)
       internal_comparator_(options.comparator != nullptr
                                ? options.comparator
                                : BytewiseComparator()),
-      mem_(std::make_shared<MemTable>(internal_comparator_,
-                                      MemTableOptionsFromDb(options))),
+      mem_(std::make_shared<MemTable>(internal_comparator_)),
       metrics_(options.enable_metrics ? new MetricsRegistry : nullptr) {}
 
 DB::~DB() {
@@ -176,15 +155,6 @@ Status DB::Open(const DbOptions& options, const std::string& name,
       owned_env = NewPosixEnv(env_options);
     }
     resolved.env = owned_env.get();
-  }
-  // Same override idiom for the concurrent-memtable write path: CI sweeps
-  // both modes over the full test suite without rebuilding.
-  if (const char* concurrent = getenv("MONKEYDB_CONCURRENT_MEMTABLE")) {
-    if (strcmp(concurrent, "1") == 0) {
-      resolved.allow_concurrent_memtable_write = true;
-    } else if (strcmp(concurrent, "0") == 0) {
-      resolved.allow_concurrent_memtable_write = false;
-    }
   }
   if (resolved.size_ratio < 2.0) {
     return Status::InvalidArgument("size_ratio must be >= 2");
@@ -497,17 +467,7 @@ Status DB::Write(const WriteOptions& options, const WriteBatch& batch) {
     StopWatch queue_watch(metrics_.get(), Hist::kWriteQueueWait);
     PerfTimer queue_timer(&GetPerfContext()->write_queue_wait_nanos);
     TraceSpan queue_span(TraceName::kWriteQueueWait);
-    while (!w.done && &w != writers_.front()) {
-      if (w.apply_assigned) {
-        // Parallel group apply: the leader made this batch durable in the
-        // group's WAL record and handed us its memtable insertion. Do it
-        // (mu_ is released inside), then park again until the leader
-        // publishes the group and marks us done.
-        ApplyParallelWriter(&w);
-        continue;
-      }
-      w.cv.Wait();
-    }
+    while (!w.done && &w != writers_.front()) w.cv.Wait();
     if (queue_span.armed()) queue_span.set_args(w.done ? 0 : 1);
   }
   if (w.done) {
@@ -580,21 +540,15 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
   // maintenance path that swaps them first waits for commit_in_flight_ to
   // clear (holding mu_, which also blocks the next leader).
   commit_in_flight_ = true;
-
-  // Hoisted out of the unlock window: the parallel-apply path reuses the
-  // per-member resolutions after mu_ is reacquired, and the leader's
-  // `resolved` vector must outlive the followers' insertions (they hold
-  // raw pointers into it via Writer::apply_ops).
-  std::vector<char> included(group.size(), 1);
-  std::vector<std::vector<std::pair<ValueType, std::string>>> resolved(
-      group.size());
-  size_t included_members = 0;
-  bool parallel_apply = false;
   {
     // The window: mem_/wal_/vlog_ are accessed with mu_ released, covered
     // by the commit_in_flight_ interlock described above (ScopedUnlock
     // hides the release from the thread-safety analysis by design).
     ScopedUnlock window(&mu_);
+
+    std::vector<char> included(group.size(), 1);
+    std::vector<std::vector<std::pair<ValueType, std::string>>> resolved(
+        group.size());
 
     // Key-value separation, resolved per member: large values go to the
     // value log first (so a WAL record's handle is durable only after its
@@ -631,6 +585,7 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
     WalBatch wal_batch(first_seq);
     bool group_sync = false;
     size_t included_ops = 0;
+    size_t included_members = 0;
     for (size_t i = 0; i < group.size(); i++) {
       if (!included[i]) continue;
       const auto& ops = group[i]->batch->ops();
@@ -659,14 +614,7 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
       if (group_sync) {
         counters_.wal_syncs.fetch_add(1, std::memory_order_relaxed);
       }
-      if (append_status.ok() && options_.allow_concurrent_memtable_write &&
-          mem_->concurrent_inserts() && included_members > 1) {
-        // The record is durable and more than one writer contributed:
-        // apply it in parallel instead. The assignment must happen under
-        // mu_ (it signals the followers' queue cvs), so just mark the
-        // decision here and fall through past the window.
-        parallel_apply = true;
-      } else if (append_status.ok()) {
+      if (append_status.ok()) {
         // Apply with contiguous sequence numbers in queue order. Published
         // once at the end: readers filter by last_sequence_, so no prefix of
         // the group (or of any batch) ever becomes visible.
@@ -692,130 +640,11 @@ Status DB::CommitGroupLocked(const std::vector<Writer*>& group) {
         }
       }
     }
-
-  }
-
-  if (parallel_apply) {
-    // Parallel group application (allow_concurrent_memtable_write). With
-    // mu_ held, hand every included follower a contiguous sequence chunk
-    // (queue order — the exact assignment the serial path would make) and
-    // wake it; each inserts its own batch into the memtable concurrently
-    // via the skiplist's lock-free splices. commit_in_flight_ keeps mem_
-    // stable for the raw pointers while mu_ is released.
-    MemTable* mem_raw = mem_.get();
-    const bool leader_included = included[0] != 0;
-    ParallelApplyState state(static_cast<int>(included_members) -
-                             (leader_included ? 1 : 0));
-    SequenceNumber seq = first_seq;
-    SequenceNumber leader_seq = 0;
-    for (size_t i = 0; i < group.size(); i++) {
-      if (!included[i]) continue;
-      Writer* writer = group[i];
-      const SequenceNumber member_first = seq;
-      seq += writer->batch->ops().size();
-      if (i == 0) {
-        leader_seq = member_first;
-        continue;  // The leader applies its own batch itself, below.
-      }
-      writer->apply_first_seq = member_first;
-      writer->apply_ops = &resolved[i];
-      writer->apply_state = &state;
-      writer->apply_mem = mem_raw;
-      writer->apply_assigned = true;
-      writer->cv.Signal();
-    }
-    const SequenceNumber end_seq = seq - 1;
-    counters_.memtable_parallel_groups.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    counters_.memtable_parallel_batches.fetch_add(
-        included_members, std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->Record(Hist::kParallelApplyFanout, included_members);
-    }
-    {
-      ScopedUnlock window(&mu_);
-      StopWatch apply_watch(metrics_.get(), Hist::kMemtableApplyLatency);
-      PerfTimer apply_timer(&GetPerfContext()->memtable_apply_nanos);
-      TraceSpan apply_span(TraceName::kMemtableApply,
-                           static_cast<int64_t>(included_members));
-      if (leader_included) {
-        const auto& ops = group[0]->batch->ops();
-        SequenceNumber s = leader_seq;
-        for (size_t j = 0; j < ops.size(); j++) {
-          mem_raw->Add(s++, resolved[0][j].first, ops[j].key,
-                       resolved[0][j].second);
-        }
-        group[0]->status = Status::OK();
-      }
-      // Last-writer-out barrier: wait for every follower's insertions
-      // before publishing the group's sequence, so readers never observe
-      // a half-applied group. The followers' release decrements pair with
-      // this acquire load, ordering their Adds (and their Status writes)
-      // before the store below.
-      {
-        MutexLock barrier(state.mu);
-        while (state.remaining.load(std::memory_order_acquire) > 0) {
-          state.cv.Wait();
-        }
-      }
-      last_sequence_.store(end_seq, std::memory_order_release);
-    }
   }
 
   commit_in_flight_ = false;
   commit_cv_.SignalAll();
   return group[0]->status;
-}
-
-void DB::ApplyParallelWriter(Writer* w) {
-  ParallelApplyState* state = w->apply_state;
-  {
-    // Same interlock story as the leader's window: the group's leader set
-    // commit_in_flight_ and cannot clear it until this writer decrements
-    // `remaining`, so apply_mem and apply_ops stay alive and stable.
-    ScopedUnlock window(&mu_);
-    PerfTimer apply_timer(&GetPerfContext()->memtable_apply_nanos);
-    const auto& ops = w->batch->ops();
-    const auto& resolved_ops = *w->apply_ops;
-    SequenceNumber seq = w->apply_first_seq;
-    for (size_t j = 0; j < ops.size(); j++) {
-      w->apply_mem->Add(seq++, resolved_ops[j].first, ops[j].key,
-                        resolved_ops[j].second);
-    }
-    w->status = Status::OK();
-    // Release decrement: publishes this writer's Adds and status to the
-    // leader's acquire load. Signal under the barrier mutex so the
-    // leader's predicate check and wait cannot miss the final decrement.
-    if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      MutexLock barrier(state->mu);
-      state->cv.Signal();
-    }
-  }
-  // Back under mu_; `state` may be gone already (the leader only waits
-  // for the decrement), so only this writer's own fields are touched.
-  w->apply_assigned = false;
-  w->apply_ops = nullptr;
-  w->apply_state = nullptr;
-  w->apply_mem = nullptr;
-}
-
-void DB::AccumulateMemTableStats(const MemTable& mem) {
-  if (!mem.concurrent_inserts()) return;
-  const ConcurrentArena::StatsSnapshot s = mem.arena_stats();
-  counters_.arena_cas_retries.fetch_add(s.cas_retries,
-                                        std::memory_order_relaxed);
-  counters_.arena_slow_allocs.fetch_add(s.slow_allocs,
-                                        std::memory_order_relaxed);
-  counters_.arena_shard_refills.fetch_add(s.shard_refills,
-                                          std::memory_order_relaxed);
-  counters_.arena_hugetlb_blocks.fetch_add(s.hugetlb_blocks,
-                                           std::memory_order_relaxed);
-  counters_.arena_thp_blocks.fetch_add(s.thp_blocks,
-                                       std::memory_order_relaxed);
-  counters_.arena_plain_blocks.fetch_add(s.plain_blocks,
-                                         std::memory_order_relaxed);
-  counters_.skiplist_cas_retries.fetch_add(mem.skiplist_cas_retries(),
-                                           std::memory_order_relaxed);
 }
 
 Status DB::MaybeCompactBuffer() {
@@ -854,13 +683,9 @@ Status DB::SwitchMemTable() {
   // wait above release mu_, so a commit can be in flight here).
   while (commit_in_flight_) commit_cv_.Wait();
 
-  // The frozen memtable takes no more Adds (the commit wait above), so
-  // its contention counters are final: fold them into the DB aggregates.
-  AccumulateMemTableStats(*mem_);
   imm_.insert(imm_.begin(), ImmEntry{mem_, wal_number_});
   MONKEYDB_RETURN_IF_ERROR(NewWalLocked());
-  mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                    MemTableOptionsFromDb(options_));
+  mem_ = std::make_shared<MemTable>(internal_comparator_);
   PublishViewLocked();
   bg_work_cv_.Signal();
   return Status::OK();
@@ -1110,13 +935,14 @@ Status DB::Get(const ReadOptions& options, const Slice& key,
   TraceArmer trace_armer(options.trace || TraceSampleHead());
   TraceSpan get_span(TraceName::kDbGet);
 
-  // Load the read sequence BEFORE the view: the view loaded afterwards is
-  // at least as new, so every entry at or below the sequence is in it.
+  // Load the view BEFORE the read sequence (DESIGN.md "Threading"):
+  // compactions that built the view kept every version visible at any
+  // later sequence, so the view answers consistently at read_seq.
+  const std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  const std::shared_ptr<const ReadView> view = CurrentView();
   LookupKey lookup(key, read_seq);
 
   // 1. The buffer (Level 0): active memtable, then frozen ones newest-first.
@@ -1237,12 +1063,12 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
   std::vector<Status> statuses(keys.size(), Status::OK());
   if (keys.empty()) return statuses;
 
-  // One snapshot for the whole batch (sequence before view, as in Get).
+  // One snapshot for the whole batch (view before sequence, as in Get).
+  const std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  const std::shared_ptr<const ReadView> view = CurrentView();
 
   std::vector<LookupKey> lookups;
   lookups.reserve(keys.size());
@@ -1938,9 +1764,7 @@ Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
     current_.EnsureLevel(1);
     (*levels)[0] = outs;
     if (swap_active) {
-      AccumulateMemTableStats(*mem);
-      mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                        MemTableOptionsFromDb(options_));
+      mem_ = std::make_shared<MemTable>(internal_comparator_);
     }
     return LogAndApply(edit);
   }
@@ -1953,9 +1777,7 @@ Status DB::FlushMemTableImpl(std::shared_ptr<MemTable> mem, bool swap_active,
       CanDropTombstones(1) && current_.RunsAt(1).empty(),
       mem->num_entries(), {}, &out, io_unlock));
   if (swap_active) {
-    AccumulateMemTableStats(*mem);
-    mem_ = std::make_shared<MemTable>(internal_comparator_,
-                                      MemTableOptionsFromDb(options_));
+    mem_ = std::make_shared<MemTable>(internal_comparator_);
     PublishViewLocked();
   }
   if (out != nullptr) {
@@ -2379,36 +2201,6 @@ DbStats DB::GetStats() const {
       counters_.value_log_bytes.load(std::memory_order_relaxed);
   stats.value_log_reads =
       counters_.value_log_reads.load(std::memory_order_relaxed);
-  // Concurrent-memtable aggregates: retired memtables' totals live in
-  // counters_ (folded in at swap time); the live memtable contributes its
-  // current values on top. All zero with the feature off.
-  stats.memtable_parallel_groups =
-      counters_.memtable_parallel_groups.load(std::memory_order_relaxed);
-  stats.memtable_parallel_batches =
-      counters_.memtable_parallel_batches.load(std::memory_order_relaxed);
-  const ConcurrentArena::StatsSnapshot arena = view->mem->arena_stats();
-  stats.arena_cas_retries =
-      counters_.arena_cas_retries.load(std::memory_order_relaxed) +
-      arena.cas_retries;
-  stats.arena_slow_allocs =
-      counters_.arena_slow_allocs.load(std::memory_order_relaxed) +
-      arena.slow_allocs;
-  stats.arena_shard_refills =
-      counters_.arena_shard_refills.load(std::memory_order_relaxed) +
-      arena.shard_refills;
-  stats.arena_hugetlb_blocks =
-      counters_.arena_hugetlb_blocks.load(std::memory_order_relaxed) +
-      arena.hugetlb_blocks;
-  stats.arena_thp_blocks =
-      counters_.arena_thp_blocks.load(std::memory_order_relaxed) +
-      arena.thp_blocks;
-  stats.arena_plain_blocks =
-      counters_.arena_plain_blocks.load(std::memory_order_relaxed) +
-      arena.plain_blocks;
-  stats.arena_backing = ConcurrentArena::BackingName(arena.backing);
-  stats.skiplist_cas_retries =
-      counters_.skiplist_cas_retries.load(std::memory_order_relaxed) +
-      view->mem->skiplist_cas_retries();
   // Per-level probe attribution, truncated at the deepest level that saw
   // any traffic.
   int deepest_traffic = 0;
@@ -2576,20 +2368,6 @@ std::string DB::DumpStats() const {
            static_cast<unsigned long long>(stats.wal_syncs),
            static_cast<unsigned long long>(stats.wal_rotations));
   out += line;
-  if (options_.allow_concurrent_memtable_write) {
-    snprintf(line, sizeof(line),
-             "concurrent memtable: %llu parallel groups (%llu batches) | "
-             "arena[%s]: %llu cas retries, %llu slow allocs, %llu refills | "
-             "skiplist: %llu cas retries\n",
-             static_cast<unsigned long long>(stats.memtable_parallel_groups),
-             static_cast<unsigned long long>(stats.memtable_parallel_batches),
-             stats.arena_backing.c_str(),
-             static_cast<unsigned long long>(stats.arena_cas_retries),
-             static_cast<unsigned long long>(stats.arena_slow_allocs),
-             static_cast<unsigned long long>(stats.arena_shard_refills),
-             static_cast<unsigned long long>(stats.skiplist_cas_retries));
-    out += line;
-  }
   snprintf(line, sizeof(line),
            "value log: %llu writes (%llu bytes) | backpressure: %llu "
            "slowdowns, %llu stalls\n",

@@ -120,24 +120,6 @@ struct DbStats {
   uint64_t value_log_writes = 0;    // Values separated into the log.
   uint64_t value_log_bytes = 0;     // Payload bytes appended to the log.
   uint64_t value_log_reads = 0;     // Handle resolutions on the read path.
-
-  // Concurrent-memtable counters (all zero unless
-  // allow_concurrent_memtable_write is on; see DESIGN.md "Write path II").
-  // Arena/skiplist numbers aggregate every memtable since Open: retired
-  // (flushed) memtables fold their totals in when they are swapped out,
-  // and the live memtable's current values are added on top.
-  uint64_t memtable_parallel_groups = 0;   // Groups applied in parallel.
-  uint64_t memtable_parallel_batches = 0;  // Batches across those groups.
-  uint64_t arena_cas_retries = 0;     // Failed bump-pointer CASes.
-  uint64_t arena_slow_allocs = 0;     // Allocations through the shard lock.
-  uint64_t arena_shard_refills = 0;   // Shard chunk refills.
-  uint64_t arena_hugetlb_blocks = 0;  // Blocks by backing tier.
-  uint64_t arena_thp_blocks = 0;
-  uint64_t arena_plain_blocks = 0;
-  // Backing tier of the live memtable's most recent block:
-  // "hugetlb", "thp", "plain", or "none" (classic arena / no blocks yet).
-  std::string arena_backing = "none";
-  uint64_t skiplist_cas_retries = 0;  // Failed splice CASes.
 };
 
 class DB {
@@ -231,7 +213,7 @@ class DB {
   std::string DumpMetrics(MetricsFormat format) const;
 
   // Chrome/Perfetto trace-event JSON of every span retained in the
-  // process-wide flight recorder (obs/trace.h; DESIGN.md §16). Spans are
+  // process-wide flight recorder (obs/trace.h; DESIGN.md §14). Spans are
   // recorded only for armed requests — ReadOptions/WriteOptions::trace or
   // head sampling — so with tracing off this returns an empty event list.
   // Load the output in https://ui.perfetto.dev, or pretty-print it with
@@ -299,19 +281,6 @@ class DB {
   // read by the owning thread (under mu_, or after it observed done under
   // mu_), and `status` is written inside the leader's commit window (mu_
   // released, commit_in_flight_ set) before `done` publishes it.
-  // Shared state of one parallel-apply group (lives on the leader's
-  // stack for the duration of the group; see CommitGroupLocked).
-  // `remaining` counts writers that have not finished inserting their
-  // batch; the last one out signals `cv` to release the leader, which is
-  // the only waiter. Its mutex is private to the group — never held
-  // together with mu_.
-  struct ParallelApplyState {
-    explicit ParallelApplyState(int n) : remaining(n) {}
-    std::atomic<int> remaining;
-    Mutex mu;
-    CondVar cv{&mu};
-  };
-
   struct Writer {
     Writer(const WriteBatch* b, bool s, Mutex* mu)
         : batch(b), sync(s), cv(mu) {}
@@ -320,20 +289,6 @@ class DB {
     bool done = false;   // Set by the leader that committed (or failed) us.
     Status status;       // Valid once done.
     CondVar cv;          // Bound to mu_; signaled with mu_ held.
-
-    // Parallel-apply assignment (set by the leader under mu_ after the
-    // group's WAL record is durable, cleared by the owning thread under
-    // mu_ once its insertion is done). While apply_assigned is true the
-    // pointers below are kept alive by the leader, which cannot finish
-    // the group until every member decrements apply_state->remaining.
-    bool apply_assigned = false;
-    SequenceNumber apply_first_seq = 0;
-    // This writer's vlog-resolved operations (type, payload) — parallel
-    // to its batch's ops; owned by the leader's `resolved` vector.
-    const std::vector<std::pair<ValueType, std::string>>* apply_ops =
-        nullptr;
-    ParallelApplyState* apply_state = nullptr;
-    MemTable* apply_mem = nullptr;
   };
 
   Status Recover() EXCLUDES(mu_);
@@ -355,18 +310,6 @@ class DB {
   // group[0] == writers_.front() is the calling thread.
   Status CommitGroupLocked(const std::vector<Writer*>& group)
       REQUIRES(mu_);
-
-  // Inserts `w`'s assigned sub-batch into the memtable as part of a
-  // parallel apply group (allow_concurrent_memtable_write). Runs with mu_
-  // released (the group's WAL record is already durable; commit_in_flight_
-  // keeps the memtable stable); reacquires mu_ and clears the assignment
-  // before returning. Called by follower threads from DB::Write's wait
-  // loop when the leader hands them their assignment.
-  void ApplyParallelWriter(Writer* w) REQUIRES(mu_);
-
-  // Folds a retiring memtable's arena/skiplist counters into counters_ so
-  // DbStats aggregates survive the flush. Called wherever mem_ is swapped.
-  void AccumulateMemTableStats(const MemTable& mem);
 
   // Memtable-full handling shared by Put/Delete/Write. Synchronous mode
   // flushes inline; background mode freezes the memtable (with
@@ -619,19 +562,6 @@ class DB {
     std::atomic<uint64_t> value_log_writes{0};
     std::atomic<uint64_t> value_log_bytes{0};
     std::atomic<uint64_t> value_log_reads{0};
-
-    // Concurrent-memtable path. The group counters are bumped per commit;
-    // the arena/skiplist counters accumulate retired memtables' totals
-    // (AccumulateMemTableStats) — GetStats adds the live memtable on top.
-    std::atomic<uint64_t> memtable_parallel_groups{0};
-    std::atomic<uint64_t> memtable_parallel_batches{0};
-    std::atomic<uint64_t> arena_cas_retries{0};
-    std::atomic<uint64_t> arena_slow_allocs{0};
-    std::atomic<uint64_t> arena_shard_refills{0};
-    std::atomic<uint64_t> arena_hugetlb_blocks{0};
-    std::atomic<uint64_t> arena_thp_blocks{0};
-    std::atomic<uint64_t> arena_plain_blocks{0};
-    std::atomic<uint64_t> skiplist_cas_retries{0};
 
     // Per-level probe attribution (index 0 = Level 1); feeds the
     // measured-FPR gauges in DumpMetrics.

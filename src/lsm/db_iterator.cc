@@ -17,9 +17,9 @@ class DbIterator : public Iterator {
              std::shared_ptr<const ReadView> pinned_view)
       : db_(db),
         comparator_(comparator),
+        pinned_view_(std::move(pinned_view)),
         iter_(std::move(internal_iter)),
-        sequence_(sequence),
-        pinned_view_(std::move(pinned_view)) {}
+        sequence_(sequence) {}
 
   bool Valid() const override { return valid_; }
 
@@ -109,12 +109,14 @@ class DbIterator : public Iterator {
 
   const DB* db_;
   const InternalKeyComparator* comparator_;
+  // Keeps every memtable and TableReader under iter_ alive, even after
+  // compactions replace the tree. Declared before iter_ so it is destroyed
+  // after it: a table cursor's destructor drains in-flight readahead reads
+  // that still use its TableReader.
+  std::shared_ptr<const ReadView> pinned_view_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber sequence_;
   Status status_;
-  // Keeps every memtable and TableReader under iter_ alive, even after
-  // compactions replace the tree.
-  std::shared_ptr<const ReadView> pinned_view_;
 
   bool valid_ = false;
   bool has_skip_ = false;
@@ -124,14 +126,13 @@ class DbIterator : public Iterator {
 };
 
 std::unique_ptr<Iterator> DB::NewIterator(const ReadOptions& options) {
-  // Lock-free: pin a published ReadView; the sequence is loaded first so
-  // the view (at least as new) is guaranteed to contain every entry at or
-  // below it.
+  // Lock-free: pin a published ReadView, then load the sequence to read it
+  // at (view first, as in Get).
+  std::shared_ptr<const ReadView> view = CurrentView();
   const SequenceNumber read_seq =
       options.snapshot != nullptr
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
-  std::shared_ptr<const ReadView> view = CurrentView();
   std::vector<std::unique_ptr<Iterator>> children;
   for (const MemTable* mem : view->MemTables()) {
     children.push_back(mem->NewIterator());

@@ -125,30 +125,6 @@ struct DbOptions {
   // geometry); other policies ignore values > 1. Must be >= 1.
   int compaction_threads = 1;
 
-  // Parallel write-group application (see DESIGN.md "Write path II").
-  // With this on, the group-commit leader still assigns contiguous
-  // sequence numbers and writes/fsyncs ONE WAL record for the whole
-  // group, but instead of applying every batch itself it wakes the
-  // followers and each writer inserts its own batch into the memtable
-  // concurrently (lock-free CAS skiplist splices over a sharded,
-  // hugepage-backed ConcurrentArena). The group's sequence is published
-  // only after the last writer finishes, so reads never observe a
-  // half-applied group. Off (the default) keeps the classic serial
-  // leader-applies-all path, byte-identical to previous builds. The
-  // MONKEYDB_CONCURRENT_MEMTABLE environment variable ("0"/"1")
-  // overrides this knob, so CI can sweep both modes without rebuilding.
-  // Hugepage backing for the arena is controlled independently by
-  // MONKEYDB_ARENA_HUGEPAGE ("auto"/"thp"/"never"; see README).
-  bool allow_concurrent_memtable_write = false;
-
-  // Memtable arena block size in bytes; 0 picks a default: 4 KiB for the
-  // classic single-writer arena (the historical value — flush-boundary
-  // accounting depends on it, so the figure benches stay byte-identical),
-  // and for the concurrent arena 2 MiB (one hugepage) clamped down to
-  // buffer_size_bytes/2 (floor 64 KiB) so small write buffers do not
-  // overshoot their flush threshold by a whole block.
-  size_t arena_block_size = 0;
-
   // --- Read pipelining (see DESIGN.md "Read path") ---
 
   // Scan readahead depth: while a range scan is consuming data block k of
@@ -218,7 +194,7 @@ struct WriteOptions {
 };
 
 // ServerOptions: knobs of the RESP serving layer (src/server; DESIGN.md
-// §14 "Serving layer"). The server is a separate binary (monkey_server)
+// §13 "Serving layer"). The server is a separate binary (monkey_server)
 // layered strictly on top of the DB API — none of these knobs affects an
 // embedded DB, and DbOptions defaults are untouched.
 struct ServerOptions {
@@ -267,7 +243,7 @@ struct ServerOptions {
   size_t server_max_multibulk = 1u << 20;
   size_t server_max_inline_bytes = 64u << 10;
 
-  // Tracing / SLOWLOG (DESIGN.md §16). trace_sample_rate head-samples
+  // Tracing / SLOWLOG (DESIGN.md §14). trace_sample_rate head-samples
   // incoming commands into the flight recorder: each command run is armed
   // with this probability and its spans land in the per-thread trace
   // rings, served back via `TRACE`, `SLOWLOG GET`, and HTTP /trace. The

@@ -15,23 +15,6 @@ Slice GetLengthPrefixed(const char* data) {
   return Slice(p, len);
 }
 
-std::unique_ptr<Allocator> MakeAllocator(const MemTableOptions& options,
-                                         ConcurrentArena** concurrent_out) {
-  *concurrent_out = nullptr;
-  if (!options.concurrent_inserts) {
-    return std::make_unique<Arena>(options.arena_block_size == 0
-                                       ? Arena::kDefaultBlockSize
-                                       : options.arena_block_size);
-  }
-  ConcurrentArena::Options copts;
-  if (options.arena_block_size != 0) {
-    copts.block_size = options.arena_block_size;
-  }
-  auto arena = std::make_unique<ConcurrentArena>(copts);
-  *concurrent_out = arena.get();
-  return arena;
-}
-
 }  // namespace
 
 int MemTable::KeyComparator::operator()(const char* a, const char* b) const {
@@ -40,18 +23,20 @@ int MemTable::KeyComparator::operator()(const char* a, const char* b) const {
   return comparator.Compare(ka, kb);
 }
 
-MemTable::MemTable(const InternalKeyComparator& comparator,
-                   const MemTableOptions& options)
-    : comparator_{comparator},
-      alloc_(MakeAllocator(options, &concurrent_arena_)),
-      table_(comparator_, alloc_.get()) {}
+MemTable::MemTable(const InternalKeyComparator& comparator)
+    : comparator_{comparator}, table_(comparator_, &arena_) {}
 
 MemTable::~MemTable() = default;
 
-void MemTable::EncodeEntry(char* buf, size_t encoded_len, SequenceNumber seq,
-                           ValueType type, const Slice& key,
-                           const Slice& value) {
+void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
+                   const Slice& value) {
   const size_t internal_key_size = key.size() + 8;
+  const Slice stored_value = (type == ValueType::kDeletion) ? Slice() : value;
+  const size_t encoded_len = VarintLength(internal_key_size) +
+                             internal_key_size +
+                             VarintLength(stored_value.size()) +
+                             stored_value.size();
+  char* buf = arena_.Allocate(encoded_len);
   char* p = buf;
 
   // internal key
@@ -62,34 +47,12 @@ void MemTable::EncodeEntry(char* buf, size_t encoded_len, SequenceNumber seq,
   p += 8;
 
   // value
-  p = EncodeVarint32(p, static_cast<uint32_t>(value.size()));
-  memcpy(p, value.data(), value.size());
-  p += value.size();
-
+  p = EncodeVarint32(p, static_cast<uint32_t>(stored_value.size()));
+  memcpy(p, stored_value.data(), stored_value.size());
+  p += stored_value.size();
   assert(p == buf + encoded_len);
-  (void)encoded_len;
-}
 
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
-                   const Slice& value) {
-  const size_t internal_key_size = key.size() + 8;
-  const Slice stored_value = (type == ValueType::kDeletion) ? Slice() : value;
-  const size_t encoded_len = VarintLength(internal_key_size) +
-                             internal_key_size +
-                             VarintLength(stored_value.size()) +
-                             stored_value.size();
-  if (concurrent_arena_ != nullptr) {
-    // Lock-free path: node and entry share one cache-line-aligned
-    // allocation (the skiplist's inline-key layout), inserted with CAS
-    // splices. Safe for any number of concurrent Adds.
-    Table::InlineHandle handle = table_.AllocateInline(encoded_len);
-    EncodeEntry(handle.buf, encoded_len, seq, type, key, stored_value);
-    table_.InsertConcurrently(handle);
-  } else {
-    char* buf = alloc_->Allocate(encoded_len);
-    EncodeEntry(buf, encoded_len, seq, type, key, stored_value);
-    table_.Insert(buf);
-  }
+  table_.Insert(buf);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -2,18 +2,11 @@
 // Level-0 buffer). Arena-allocated; nodes are never removed until the
 // whole arena is dropped at flush time.
 //
-// Concurrency, two writer regimes sharing one reader contract:
-//   - Insert: one writer (externally serialized, the engine's writer
-//     lock), any number of readers. This is the classic LevelDB scheme.
-//   - AllocateInline + InsertConcurrently: any number of writers insert
-//     lock-free via per-level compare-exchange splices (RocksDB
-//     InlineSkipList-style), with the node and its key bytes allocated in
-//     one contiguous chunk so the key lives in the node's cache lines.
-//     Requires a thread-safe Allocator (ConcurrentArena).
-// In both regimes node links are published with store(release) / CAS
-// (release) and traversed with load(acquire), so a reader that observes a
-// link observes a fully initialized node. Get/iterators are identical
-// under either regime and need no locking.
+// Concurrency: one writer (externally serialized, the engine's group-commit
+// leader), any number of readers. This is the classic LevelDB scheme: node
+// links are published with store(release) and traversed with
+// load(acquire), so a reader that observes a link observes a fully
+// initialized node. Get/iterators need no locking.
 
 #ifndef MONKEYDB_MEMTABLE_SKIPLIST_H_
 #define MONKEYDB_MEMTABLE_SKIPLIST_H_
@@ -22,7 +15,7 @@
 #include <cassert>
 #include <cstdint>
 
-#include "util/allocator.h"
+#include "util/arena.h"
 #include "util/random.h"
 
 namespace monkeydb {
@@ -32,9 +25,9 @@ namespace monkeydb {
 template <typename Key, class Cmp>
 class SkipList {
  public:
-  SkipList(Cmp cmp, Allocator* allocator)
+  SkipList(Cmp cmp, Arena* arena)
       : compare_(cmp),
-        allocator_(allocator),
+        arena_(arena),
         head_(NewNode(0 /*ignored head key*/, kMaxHeight)),
         max_height_(1),
         rnd_(0xdeadbeef) {
@@ -67,83 +60,6 @@ class SkipList {
       x->NoBarrierSetNext(i, prev[i]->NoBarrierNext(i));
       prev[i]->SetNext(i, x);
     }
-  }
-
-  // --- Lock-free insert path (concurrent memtable writes) ---
-
-  // A node allocated ahead of its insertion: the caller encodes the entry
-  // into `buf` (which becomes the node's key), then calls
-  // InsertConcurrently. The node and its key share one cache-line-aligned
-  // allocation.
-  struct InlineHandle {
-    void* node_mem = nullptr;
-    int height = 0;
-    char* buf = nullptr;
-  };
-
-  // Allocates a node with `entry_bytes` of inline key storage. Thread-safe
-  // when the allocator is (ConcurrentArena). Only meaningful for
-  // Key = const char*.
-  InlineHandle AllocateInline(size_t entry_bytes) {
-    InlineHandle h;
-    h.height = RandomHeightConcurrent();
-    const size_t node_bytes =
-        sizeof(Node) + sizeof(std::atomic<Node*>) * (h.height - 1);
-    char* mem = allocator_->AllocateAligned(node_bytes + entry_bytes,
-                                            Allocator::kCacheLineSize);
-    h.node_mem = mem;
-    h.buf = mem + node_bytes;
-    return h;
-  }
-
-  // Lock-free insertion of a node from AllocateInline whose buf is fully
-  // encoded. Safe against any number of concurrent InsertConcurrently
-  // calls and readers; must not race with the single-writer Insert above.
-  // REQUIRES: no equal key present or being inserted concurrently.
-  void InsertConcurrently(const InlineHandle& h) {
-    const int height = h.height;
-    Node* x = new (h.node_mem) Node(static_cast<Key>(h.buf));
-
-    // Raise the list height first; racing raisers CAS until one wins.
-    // Readers seeing the new height before any node reaches it just fall
-    // through head_'s null links (same contract as the serial path).
-    int max_h = GetMaxHeight();
-    while (height > max_h &&
-           !max_height_.compare_exchange_weak(max_h, height,
-                                              std::memory_order_relaxed)) {
-    }
-
-    Node* prev[kMaxHeight];
-    for (int i = 0; i < kMaxHeight; i++) prev[i] = head_;
-    FindGreaterOrEqual(x->key, prev);
-
-    // Splice bottom-up: once level 0 is linked the node is reachable by
-    // every reader; upper levels only accelerate searches, so a node
-    // observed mid-splice is simply found via a lower level.
-    for (int i = 0; i < height; i++) {
-      Node* p = prev[i];
-      for (;;) {
-        Node* next = p->Next(i);
-        while (next != nullptr && compare_(next->key, x->key) < 0) {
-          p = next;
-          next = p->Next(i);
-        }
-        assert(next == nullptr || compare_(next->key, x->key) != 0);
-        x->NoBarrierSetNext(i, next);
-        // Release on success publishes the node's contents (key bytes and
-        // lower links) together with this link.
-        if (p->CASNext(i, next, x)) break;
-        // Lost the race at this level: another insert spliced in between
-        // p and next. Rescan forward from p (keys only move rightward).
-        cas_retries_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Failed splice CASes since construction — the contention measure the
-  // memtable surfaces as DbStats::skiplist_cas_retries.
-  uint64_t cas_retries() const {
-    return cas_retries_.load(std::memory_order_relaxed);
   }
 
   bool Contains(const Key& key) const {
@@ -206,21 +122,12 @@ class SkipList {
       assert(n >= 0);
       next_[n].store(x, std::memory_order_release);
     }
-    // Writer-only variants (no fences needed under the writer lock, or —
-    // on the concurrent path — before the publishing CAS).
+    // Writer-only variants (no fences needed under the writer lock).
     Node* NoBarrierNext(int n) const {
       return next_[n].load(std::memory_order_relaxed);
     }
     void NoBarrierSetNext(int n, Node* x) {
       next_[n].store(x, std::memory_order_relaxed);
-    }
-    // Splice CAS for concurrent inserts: release on success so the new
-    // node is published, acquire on failure so the loser can safely chase
-    // the link that beat it.
-    bool CASNext(int n, Node* expected, Node* x) {
-      return next_[n].compare_exchange_strong(expected, x,
-                                              std::memory_order_release,
-                                              std::memory_order_acquire);
     }
 
    private:
@@ -233,7 +140,7 @@ class SkipList {
   }
 
   Node* NewNode(const Key& key, int height) {
-    char* mem = allocator_->AllocateAligned(
+    char* mem = arena_->AllocateAligned(
         sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
     return new (mem) Node(key);
   }
@@ -241,19 +148,6 @@ class SkipList {
   int RandomHeight() {
     int height = 1;
     while (height < kMaxHeight && rnd_.Uniform(kBranching) == 0) height++;
-    return height;
-  }
-
-  // Height sampling off a per-thread generator: the serial path's rnd_ is
-  // deliberately untouched (deterministic node sizes for the figure
-  // benches); concurrent inserters must not share it unsynchronized.
-  int RandomHeightConcurrent() {
-    static std::atomic<uint64_t> seed_seq{0x8badf00d5eedULL};
-    thread_local Random rnd(
-        seed_seq.fetch_add(0x9E3779B97F4A7C15ULL,
-                           std::memory_order_relaxed));
-    int height = 1;
-    while (height < kMaxHeight && rnd.Uniform(kBranching) == 0) height++;
     return height;
   }
 
@@ -304,11 +198,10 @@ class SkipList {
   }
 
   Cmp const compare_;
-  Allocator* const allocator_;
+  Arena* const arena_;
   Node* const head_;
   std::atomic<int> max_height_;
   Random rnd_;
-  std::atomic<uint64_t> cas_retries_{0};
 };
 
 }  // namespace monkeydb

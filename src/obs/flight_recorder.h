@@ -1,5 +1,5 @@
 // The flight recorder: per-thread lock-free ring buffers of TraceEvents
-// (DESIGN.md §16 "Tracing & flight recorder").
+// (DESIGN.md §14 "Tracing & flight recorder").
 //
 // Each recording thread owns one fixed-size ring (overwrite-oldest). A
 // slot is a seqlock: the writer marks it odd, stores the payload words,

@@ -20,7 +20,6 @@ const char* HistName(Hist h) {
       return "block_cache_lookup_latency_us";
     case Hist::kBlockReadLatency: return "block_read_latency_us";
     case Hist::kWriteGroupSize: return "write_group_size";
-    case Hist::kParallelApplyFanout: return "parallel_apply_fanout";
     case Hist::kServerGetLatency: return "server_get_latency_us";
     case Hist::kServerSetLatency: return "server_set_latency_us";
     case Hist::kServerDelLatency: return "server_del_latency_us";

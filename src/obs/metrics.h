@@ -44,7 +44,6 @@ enum class Hist : int {
   kBlockCacheLookupLatency,
   kBlockReadLatency,        // Block fetches that miss the cache.
   kWriteGroupSize,          // Unit: writers per commit group, not time.
-  kParallelApplyFanout,     // Unit: writers applying a group in parallel.
 
   // RESP serving layer (src/server; recorded on the server's own
   // registry, so an embedded DB's histograms stay untouched). The

@@ -1,4 +1,4 @@
-// Per-request tracing (DESIGN.md §16 "Tracing & flight recorder").
+// Per-request tracing (DESIGN.md §14 "Tracing & flight recorder").
 //
 // A TraceContext is thread-local, like PerfContext: a request boundary
 // (DB::Get / DB::Write / a server command run) *arms* it — head-sampled at

@@ -1,5 +1,5 @@
 // RESP2 wire protocol: an incremental, zero-copy request parser and the
-// reply writers (DESIGN.md §14 "Serving layer").
+// reply writers (DESIGN.md §13 "Serving layer").
 //
 // The parser consumes a connection's contiguous input buffer and yields
 // one command per call as a vector of Slices *into that buffer* — no

@@ -129,7 +129,7 @@ Status MonkeyServer::Start(const ServerOptions& options,
     server->metrics_ = std::make_unique<MetricsRegistry>();
   }
   // Head-sampling rate for request tracing; a MONKEYDB_TRACE_SAMPLE
-  // environment override wins (DESIGN.md §16).
+  // environment override wins (DESIGN.md §14).
   ApplyTraceSampleRateOption(options.trace_sample_rate);
 
   // Shard DBs first: an accepted connection must always find a live
@@ -602,7 +602,7 @@ void MonkeyServer::ExecuteAdmin(Connection* c, const ParsedCommand& cmd) {
       break;
     case CommandId::kDbSize: {
       // Approximate: on-disk entries include tombstones and superseded
-      // versions until compaction drops them (documented in DESIGN §14).
+      // versions until compaction drops them (documented in DESIGN §13).
       uint64_t total = 0;
       for (const auto& db : dbs_) {
         const DbStats stats = db->GetStats();
@@ -994,9 +994,6 @@ std::string MonkeyServer::InfoText() const {
     info += "write_groups:" + U64(stats.write_groups) + "\r\n";
     info += "write_group_batches:" + U64(stats.write_group_batches) +
             "\r\n";
-    // The arena-backing tier (hugetlb/thp/plain/none) — operational state
-    // previously visible only through in-process DumpStats().
-    info += "arena_backing:" + stats.arena_backing + "\r\n";
     UringStatsSnapshot io;
     if (dbs_[static_cast<size_t>(s)]->GetUringStats(&io)) {
       info += "io_uring_active:1\r\n";

@@ -1,5 +1,5 @@
 // MonkeyServer: the sharded RESP serving layer over MonkeyDB (DESIGN.md
-// §14 "Serving layer").
+// §13 "Serving layer").
 //
 // Topology: server_shards independent DB instances (hash-partitioned
 // keyspace, ShardRouter), each paired with an event-loop thread and an
@@ -178,7 +178,7 @@ class MonkeyServer {
   uint64_t next_cursor_ GUARDED_BY(scan_mu_) = 1;
   uint64_t scan_lru_tick_ GUARDED_BY(scan_mu_) = 0;
 
-  // SLOWLOG ring (slowlog_threshold_us > 0; DESIGN.md §16). Bounded by
+  // SLOWLOG ring (slowlog_threshold_us > 0; DESIGN.md §14). Bounded by
   // slowlog_max_len, oldest out; SLOWLOG GET serves entries newest-first.
   struct SlowlogEntry {
     uint64_t id = 0;

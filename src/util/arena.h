@@ -2,8 +2,7 @@
 // All memory is freed at once when the arena is destroyed.
 //
 // Single-threaded: exactly one thread allocates (MemoryUsage is safe to
-// read concurrently). The concurrent memtable write path uses
-// ConcurrentArena instead (util/concurrent_arena.h).
+// read concurrently).
 
 #ifndef MONKEYDB_UTIL_ARENA_H_
 #define MONKEYDB_UTIL_ARENA_H_
@@ -15,19 +14,16 @@
 #include <memory>
 #include <vector>
 
-#include "util/allocator.h"
-
 namespace monkeydb {
 
-class Arena : public Allocator {
+class Arena {
  public:
   // The historical default block size. Deliberately small: the figure
   // benches size memtables in single-digit MiB and flush on MemoryUsage()
   // crossings, so the default granularity is part of the reproduced
-  // experiment setup. Callers building multi-MiB memtables should pass a
-  // larger block_size (fewer allocations, fewer TLB misses) — see
-  // DbOptions::arena_block_size.
+  // experiment setup.
   static constexpr size_t kDefaultBlockSize = 4096;
+  static constexpr size_t kMaxAlign = 4096;
 
   Arena() : Arena(kDefaultBlockSize) {}
   // block_size must be >= 1 KiB; it is the granularity MemoryUsage() grows
@@ -39,16 +35,15 @@ class Arena : public Allocator {
   Arena& operator=(const Arena&) = delete;
 
   // Returns a pointer to bytes bytes of memory (bytes > 0).
-  char* Allocate(size_t bytes) override;
+  char* Allocate(size_t bytes);
 
-  // Aligned allocation; align = 0 means alignof(std::max_align_t). The
-  // skiplist requests kCacheLineSize (64) so node links and inline keys
-  // straddle as few cache lines as possible.
-  char* AllocateAligned(size_t bytes, size_t align = 0) override;
+  // Aligned allocation; align is a power of two, at most kMaxAlign, and 0
+  // means alignof(std::max_align_t).
+  char* AllocateAligned(size_t bytes, size_t align = 0);
 
   // Total memory footprint of the arena (used for memtable size accounting,
   // i.e. the paper's M_buffer).
-  size_t MemoryUsage() const override {
+  size_t MemoryUsage() const {
     return memory_usage_.load(std::memory_order_relaxed);
   }
 

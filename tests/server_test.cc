@@ -459,9 +459,7 @@ TEST_F(ServerTest, InfoReportsShardsAndArenaBacking) {
   EXPECT_NE(r.str.find("server_shards:2"), std::string::npos);
   EXPECT_NE(r.str.find("# Shard0"), std::string::npos);
   EXPECT_NE(r.str.find("# Shard1"), std::string::npos);
-  // The arena backing tier surfaces per shard (satellite: operational
-  // state from the concurrent-memtable PR).
-  EXPECT_NE(r.str.find("arena_backing:"), std::string::npos);
+  EXPECT_NE(r.str.find("write_group_batches:"), std::string::npos);
   // MemEnv has no io_uring; the INFO line must say so, not vanish.
   EXPECT_NE(r.str.find("io_uring_active:0"), std::string::npos);
   EXPECT_NE(r.str.find("engine_calls_per_command:"), std::string::npos);

@@ -1,4 +1,4 @@
-// Request-tracing tests (DESIGN.md §16): the flight recorder's seqlock
+// Request-tracing tests (DESIGN.md §14): the flight recorder's seqlock
 // rings under concurrent writers, the disarmed-path overhead contract
 // (one relaxed load, zero clock reads), reconciliation of a traced Get's
 // per-level kRunProbe spans against the Eq. 3 PerfContext accounting,

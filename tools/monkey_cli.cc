@@ -10,7 +10,7 @@
 // and the N replies are read back (only the last is printed) — a direct
 // probe of the server's per-tick coalescing. --slowlog renders each
 // entry's id/time/duration/args header and its captured span tree
-// (DESIGN.md §16); --trace prints the server's flight-recorder contents
+// (DESIGN.md §14); --trace prints the server's flight-recorder contents
 // as an indented span forest.
 
 #include <cstdio>

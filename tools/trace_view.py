@@ -2,7 +2,7 @@
 """Pretty-print a MonkeyDB Chrome-trace JSON dump as a span tree.
 
 Input is the output of DB::DumpTrace() / `TRACE JSON` / GET /trace —
-Chrome trace-event JSON with 'B'/'E'/'I' phases (DESIGN.md §16). Output
+Chrome trace-event JSON with 'B'/'E'/'I' phases (DESIGN.md §14). Output
 is one indented line per span with its duration, grouped by (pid, tid)
 track, parents before children.
 
