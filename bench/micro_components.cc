@@ -18,6 +18,7 @@
 
 #include "bloom/blocked_bloom_filter.h"
 #include "bloom/bloom_filter.h"
+#include "io/block_cache.h"
 #include "io/env.h"
 #include "lsm/internal_key.h"
 #include "memtable/memtable.h"
@@ -82,12 +83,11 @@ std::vector<std::string> LoopKeys(uint64_t seed, uint64_t range) {
 
 void BM_BloomBuild(benchmark::State& state) {
   const int n = state.range(0);
+  std::vector<std::string> keys(n);
+  for (int i = 0; i < n; i++) keys[i] = "key" + std::to_string(i);
   for (auto _ : state) {
     BloomFilterBuilder builder;
-    for (int i = 0; i < n; i++) {
-      const std::string key = "key" + std::to_string(i);
-      builder.AddKey(key);
-    }
+    for (const std::string& key : keys) builder.AddKey(key);
     benchmark::DoNotOptimize(builder.Finish(10.0));
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -167,6 +167,11 @@ void BM_MemTableGet(benchmark::State& state) {
 }
 BENCHMARK(BM_MemTableGet);
 
+// Point lookups of existing keys in one 200k-entry table.
+// The argument picks the block cache: 0 = none (every probe reads its
+// page), 1 = one that holds the whole table (warm hits; each file maps
+// to one of the 16 shards, so it takes 16x the table), 2 = a 64 KiB one
+// that almost always misses (read, insert, evict, recycle the page).
 void BM_TableProbe(benchmark::State& state) {
   auto env = NewMemEnv();
   InternalKeyComparator cmp(BytewiseComparator());
@@ -186,27 +191,55 @@ void BM_TableProbe(benchmark::State& state) {
   builder.Finish().ok();
   file->Close().ok();
 
+  const int64_t mode = state.range(0);
+  std::unique_ptr<BlockCache> cache;
+  if (mode == 1) cache = std::make_unique<BlockCache>(256 << 20);
+  if (mode == 2) cache = std::make_unique<BlockCache>(64 << 10);
   std::unique_ptr<RandomAccessFile> rfile;
   env->NewRandomAccessFile("/t.sst", &rfile).ok();
   TableReaderOptions ropts;
   ropts.comparator = &cmp;
+  ropts.block_cache = cache.get();
   std::unique_ptr<TableReader> table;
   TableReader::Open(ropts, std::move(rfile), builder.file_size(), &table)
       .ok();
 
   Random rng(4);
-  std::string value;
-  for (auto _ : state) {
+  std::vector<std::string> keys(kLoopKeys);
+  for (std::string& key : keys) {
     char buf[24];
     snprintf(buf, sizeof(buf), "key%09llu",
              static_cast<unsigned long long>(rng.Uniform(n)));
-    LookupKey lookup(buf, kMaxSequenceNumber);
+    key = buf;
+  }
+  std::string value;
+  if (mode == 1) {
+    // Warm every page so the timed loop only hits.
+    for (int i = 0; i < n; i += 10) {
+      char buf[24];
+      snprintf(buf, sizeof(buf), "key%09d", i);
+      LookupKey lookup(buf, kMaxSequenceNumber);
+      TableLookupResult result;
+      table->Get(lookup, &value, &result).IgnoreError();
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    LookupKey lookup(keys[i++ & (kLoopKeys - 1)], kMaxSequenceNumber);
     TableLookupResult result;
     benchmark::DoNotOptimize(table->Get(lookup, &value, &result));
   }
   state.SetItemsProcessed(state.iterations());
+  if (cache != nullptr) {
+    state.counters["hit_ratio"] =
+        static_cast<double>(cache->hits()) /
+        static_cast<double>(cache->hits() + cache->misses());
+  }
+  static const char* const kLabels[] = {"no-cache", "cache-hit",
+                                        "cache-miss"};
+  state.SetLabel(kLabels[mode]);
 }
-BENCHMARK(BM_TableProbe);
+BENCHMARK(BM_TableProbe)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_OptimalFprAllocation(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,6 +1,47 @@
 #include "io/block_cache.h"
 
+#include <utility>
+
 namespace monkeydb {
+
+namespace {
+
+// Recency-list primitives over circular, sentinel-headed lists.
+template <typename E>
+void Unlink(E* e) {
+  e->prev->next = e->next;
+  e->next->prev = e->prev;
+}
+
+template <typename E>
+void PushFront(E* head, E* e) {
+  e->next = head->next;
+  e->prev = head;
+  head->next->prev = e;
+  head->next = e;
+}
+
+}  // namespace
+
+// Runs when the last shared_ptr to a published page drops.
+struct BlockCache::PageReturn {
+  std::shared_ptr<FreeList<std::string>> pool;
+  void operator()(std::string* page) const {
+    if (!pool->Push(page)) delete page;
+  }
+};
+
+BlockCache::Buffer::~Buffer() {
+  if (page_ != nullptr && pool_->Push(page_.get())) page_.release();
+}
+
+std::shared_ptr<const std::string> BlockCache::Buffer::Publish() {
+  if (page_ == nullptr) {
+    return std::make_shared<const std::string>(std::move(own_));
+  }
+  return std::shared_ptr<const std::string>(page_.release(),
+                                            PageReturn{std::move(pool_)});
+}
 
 BlockCache::BlockCache(size_t capacity_bytes)
     : capacity_(capacity_bytes),
@@ -8,118 +49,207 @@ BlockCache::BlockCache(size_t capacity_bytes)
       // and for capacities below kNumShards it would zero every shard's
       // allowance, effectively disabling the cache.
       per_shard_capacity_((capacity_bytes + kNumShards - 1) / kNumShards),
-      hot_capacity_((per_shard_capacity_ + 1) / 2) {}
+      hot_capacity_((per_shard_capacity_ + 1) / 2) {
+  if (capacity_ == 0) return;
+  // About one bucket per page the shard can hold; smaller blocks only
+  // lengthen the chains.
+  int bits = 4;
+  while (bits < 16 && (size_t{1} << bits) * kPageBytes < per_shard_capacity_) {
+    bits++;
+  }
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    shard.bucket_bits = bits;
+    shard.buckets = std::make_unique<Entry*[]>(size_t{1} << bits);
+  }
+}
+
+BlockCache::~BlockCache() {
+  for (Shard& shard : shards_) {
+    Entry* entries = nullptr;
+    {
+      MutexLock lock(shard.mu);
+      for (Entry* head : {&shard.hot, &shard.cold}) {
+        while (head->next != head) {
+          Entry* e = head->next;
+          Unlink(e);
+          e->next_hash = entries;
+          entries = e;
+        }
+      }
+    }
+    Release(&shard, entries);
+  }
+}
+
+BlockCache::Entry** BlockCache::Shard::Find(const Key& key) const {
+  // The low bits of KeyHash picked the shard, so index by the high bits of
+  // a second multiplicative mix.
+  const uint64_t mixed = KeyHash()(key) * 0x9E3779B97F4A7C15ULL;
+  Entry** slot = &buckets[mixed >> (64 - bucket_bits)];
+  while (*slot != nullptr && !((*slot)->key == key)) {
+    slot = &(*slot)->next_hash;
+  }
+  return slot;
+}
 
 std::shared_ptr<const std::string> BlockCache::Lookup(const Key& key,
-                                                      bool* was_prefetched) {
+                                                      bool* was_prefetched,
+                                                      Buffer* miss_buffer) {
   if (was_prefetched != nullptr) *was_prefetched = false;
   if (capacity_ == 0) return nullptr;
-  Shard* shard = GetShard(key);
-  MutexLock lock(shard->mu);
-  auto it = shard->index.find(key);
-  if (it == shard->index.end()) {
+  Shard* shard = &shards_[ShardIndex(key)];
+  {
+    MutexLock lock(shard->mu);
+    Entry* entry = *shard->Find(key);
+    if (entry != nullptr) {
+      shard->hits++;
+      if (entry->prefetched) {
+        shard->prefetch_hits++;
+        entry->prefetched = false;
+        if (was_prefetched != nullptr) *was_prefetched = true;
+      }
+      // Promote to the hot front (most recently used); a referenced scan
+      // block graduates from the cold segment here.
+      Unlink(entry);
+      if (!entry->hot) {
+        entry->hot = true;
+        shard->hot_count++;
+        shard->hot_usage += entry->block->size();
+      }
+      PushFront(&shard->hot, entry);
+      // Usage is unchanged, so only the hot budget can need rebalancing.
+      DemoteLocked(shard);
+      return entry->block;
+    }
     shard->misses++;
-    return nullptr;
   }
-  shard->hits++;
-  Entry& entry = *it->second;
-  if (entry.prefetched) {
-    shard->prefetch_hits++;
-    entry.prefetched = false;
-    if (was_prefetched != nullptr) *was_prefetched = true;
+  // Hand out a page for the read. The free list is lock-free, so this
+  // needs no second lock hold.
+  if (miss_buffer != nullptr && miss_buffer->bytes_ > kPageBytes / 2 &&
+      miss_buffer->bytes_ <= kPageBytes) {
+    std::string* page = shard->pages->Pop();
+    if (page == nullptr) {
+      page = new std::string;
+      page->reserve(kPageBytes);
+    }
+    miss_buffer->page_.reset(page);
+    miss_buffer->pool_ = shard->pages;
   }
-  // Promote to the hot front (most recently used); a referenced scan block
-  // graduates from the cold segment here.
-  if (entry.hot) {
-    shard->hot.splice(shard->hot.begin(), shard->hot, it->second);
-  } else {
-    entry.hot = true;
-    shard->hot_usage += entry.block->size();
-    shard->hot.splice(shard->hot.begin(), shard->cold, it->second);
-  }
-  auto block = entry.block;
-  BalanceAndEvictLocked(shard);
-  return block;
+  return nullptr;
 }
 
 void BlockCache::Insert(const Key& key,
                         std::shared_ptr<const std::string> block,
                         InsertPriority priority) {
   if (capacity_ == 0 || block == nullptr) return;
-  Shard* shard = GetShard(key);
-  MutexLock lock(shard->mu);
-  auto it = shard->index.find(key);
-  if (it != shard->index.end()) {
-    shard->usage -= it->second->block->size();
-    if (it->second->hot) {
-      shard->hot_usage -= it->second->block->size();
-      shard->hot.erase(it->second);
-    } else {
-      shard->cold.erase(it->second);
+  Shard* shard = &shards_[ShardIndex(key)];
+  // Everything that allocates happens before the lock.
+  Entry* entry = shard->spare.Pop();
+  if (entry == nullptr) entry = new Entry;
+  entry->key = key;
+  entry->block = std::move(block);
+  entry->hot = priority == InsertPriority::kHigh;
+  entry->prefetched = !entry->hot;
+  const size_t size = entry->block->size();
+  Entry* victims = nullptr;
+  {
+    MutexLock lock(shard->mu);
+    if (Entry* old = *shard->Find(key)) {
+      RemoveLocked(shard, old);
+      old->next_hash = victims;
+      victims = old;
     }
-    shard->index.erase(it);
+    Entry** slot = shard->Find(key);
+    entry->next_hash = *slot;
+    *slot = entry;
+    shard->count++;
+    shard->usage += size;
+    if (entry->hot) {
+      shard->hot_count++;
+      shard->hot_usage += size;
+      PushFront(&shard->hot, entry);
+    } else {
+      // Midpoint insertion: the block sits behind the whole hot segment in
+      // eviction order, so a scan can only displace other cold blocks.
+      shard->scan_inserts++;
+      PushFront(&shard->cold, entry);
+    }
+    DemoteLocked(shard);
+    EvictLocked(shard, &victims);
   }
-  shard->usage += block->size();
-  if (priority == InsertPriority::kHigh) {
-    shard->hot_usage += block->size();
-    shard->hot.push_front(Entry{key, std::move(block), true, false});
-    shard->index[key] = shard->hot.begin();
-  } else {
-    // Midpoint insertion: the block sits behind the whole hot segment in
-    // eviction order, so a scan can only displace other cold blocks.
-    shard->scan_inserts++;
-    shard->cold.push_front(Entry{key, std::move(block), false, true});
-    shard->index[key] = shard->cold.begin();
-  }
-  BalanceAndEvictLocked(shard);
+  Release(shard, victims);
 }
 
 bool BlockCache::Contains(const Key& key) const {
   if (capacity_ == 0) return false;
-  const Shard* shard = GetShard(key);
+  const Shard* shard = &shards_[ShardIndex(key)];
   MutexLock lock(shard->mu);
-  return shard->index.count(key) > 0;
+  return *shard->Find(key) != nullptr;
 }
 
 void BlockCache::EraseFile(uint64_t file_id) {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (auto* seg : {&shard.hot, &shard.cold}) {
-      for (auto it = seg->begin(); it != seg->end();) {
-        if (it->key.file_id == file_id) {
-          shard.usage -= it->block->size();
-          if (it->hot) shard.hot_usage -= it->block->size();
-          shard.index.erase(it->key);
-          it = seg->erase(it);
-        } else {
-          ++it;
+  if (capacity_ == 0) return;
+  for (Shard& shard : shards_) {
+    Entry* victims = nullptr;
+    {
+      MutexLock lock(shard.mu);
+      for (Entry* head : {&shard.hot, &shard.cold}) {
+        for (Entry* e = head->next; e != head;) {
+          Entry* next = e->next;
+          if (e->key.file_id == file_id) {
+            RemoveLocked(&shard, e);
+            e->next_hash = victims;
+            victims = e;
+          }
+          e = next;
         }
       }
     }
+    Release(&shard, victims);
   }
 }
 
-void BlockCache::BalanceAndEvictLocked(Shard* shard) {
-  // Demote the hot tail to the cold head while the hot segment is over
-  // budget. This is order-preserving (hot.back is adjacent to cold.front
-  // in the concatenated list), so for kHigh-only workloads the cache
-  // behaves exactly like one LRU list.
-  while (shard->hot_usage > hot_capacity_ && shard->hot.size() > 1) {
-    auto last = std::prev(shard->hot.end());
-    last->hot = false;
-    shard->hot_usage -= last->block->size();
-    shard->cold.splice(shard->cold.begin(), shard->hot, last);
+void BlockCache::RemoveLocked(Shard* shard, Entry* e) {
+  *shard->Find(e->key) = e->next_hash;
+  Unlink(e);
+  const size_t size = e->block->size();
+  shard->count--;
+  shard->usage -= size;
+  if (e->hot) {
+    shard->hot_count--;
+    shard->hot_usage -= size;
   }
-  // Evict from the global back; a shard may briefly keep one oversized
-  // entry rather than evicting itself empty.
-  while (shard->usage > per_shard_capacity_ &&
-         shard->hot.size() + shard->cold.size() > 1) {
-    std::list<Entry>& seg = shard->cold.empty() ? shard->hot : shard->cold;
-    const Entry& victim = seg.back();
-    shard->usage -= victim.block->size();
-    if (victim.hot) shard->hot_usage -= victim.block->size();
-    shard->index.erase(victim.key);
-    seg.pop_back();
+}
+
+void BlockCache::DemoteLocked(Shard* shard) const {
+  while (shard->hot_usage > hot_capacity_ && shard->hot_count > 1) {
+    Entry* last = shard->hot.prev;
+    last->hot = false;
+    shard->hot_count--;
+    shard->hot_usage -= last->block->size();
+    Unlink(last);
+    PushFront(&shard->cold, last);
+  }
+}
+
+void BlockCache::EvictLocked(Shard* shard, Entry** victims) const {
+  while (shard->usage > per_shard_capacity_ && shard->count > 1) {
+    Entry* victim =
+        shard->cold.next != &shard->cold ? shard->cold.prev : shard->hot.prev;
+    RemoveLocked(shard, victim);
+    victim->next_hash = *victims;
+    *victims = victim;
+  }
+}
+
+void BlockCache::Release(Shard* shard, Entry* victims) {
+  while (victims != nullptr) {
+    Entry* e = victims;
+    victims = e->next_hash;
+    e->block.reset();  // May return a page to its free list.
+    e->next_hash = nullptr;
+    if (!shard->spare.Push(e)) delete e;
   }
 }
 

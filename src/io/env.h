@@ -80,9 +80,9 @@ class RandomAccessFile {
   // fire-and-forget, never fails; a subsequent Read of the range returns
   // the data as usual, just (on devices that honor the hint) with the
   // already-elapsed transfer time deducted from its latency. Default:
-  // no-op. PosixEnv forwards to posix_fadvise(WILLNEED) — clamped to the
-  // file size and deduplicated against already-hinted windows; LatencyEnv
-  // timestamps the hint and charges only the remaining latency.
+  // no-op. PosixEnv forwards to posix_fadvise(WILLNEED), clamped to the
+  // file size; LatencyEnv timestamps the hint and charges only the
+  // remaining latency.
   virtual void ReadAhead(uint64_t offset, size_t n) const {}
 };
 

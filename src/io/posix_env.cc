@@ -7,13 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "io/aligned_read.h"
 #include "io/env.h"
 #include "obs/perf_context.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 // The leaf Env doing real syscalls feeds both halves of the calling
 // thread's IOStatsContext: call/byte counts (perf level >= kCounts) and
@@ -82,42 +79,19 @@ class PosixRandomAccessFile : public RandomAccessFile {
     return s;
   }
 
-  // WILLNEED hints are advisory, so issuing one twice only wastes a
-  // syscall — but deep scan readahead re-hints the same window on every
-  // slot refill, and past EOF the kernel just ignores the range. Clamp to
-  // the file size and skip windows already fully covered by a prior hint.
+  // WILLNEED hints are advisory; past EOF the kernel just ignores the
+  // range, so clamp to the file size. Callers hint each block once: scan
+  // readahead claims a block per iterator generation before hinting it,
+  // and MultiGet deduplicates its blocks before hinting them.
   void ReadAhead(uint64_t offset, size_t n) const override {
     // Direct mode bypasses the page cache; there is nothing to stage.
     if (direct_) return;
 #ifdef POSIX_FADV_WILLNEED
     if (offset >= file_size_ || n == 0) return;
     const uint64_t avail = file_size_ - offset;
-    uint64_t start = offset;
-    uint64_t end = offset + (n < avail ? n : avail);
-    {
-      MutexLock lock(hint_mu_);
-      // Merge with every hinted window touching [start, end); if one of
-      // them already contains it, the hint is a duplicate.
-      auto it = hinted_.upper_bound(start);
-      if (it != hinted_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= end) return;  // Fully covered.
-        if (prev->second >= start) {
-          start = prev->first;
-          it = hinted_.erase(prev);
-        }
-      }
-      while (it != hinted_.end() && it->first <= end) {
-        if (it->second > end) end = it->second;
-        it = hinted_.erase(it);
-      }
-      // Unbounded scans would otherwise grow the window map for the life
-      // of the file; resetting just allows an occasional re-hint.
-      if (hinted_.size() >= kMaxHintWindows) hinted_.clear();
-      hinted_.emplace(start, end);
-    }
-    ::posix_fadvise(fd_, static_cast<off_t>(start),
-                    static_cast<off_t>(end - start), POSIX_FADV_WILLNEED);
+    ::posix_fadvise(fd_, static_cast<off_t>(offset),
+                    static_cast<off_t>(n < avail ? n : avail),
+                    POSIX_FADV_WILLNEED);
 #else
     (void)offset;
     (void)n;
@@ -125,8 +99,6 @@ class PosixRandomAccessFile : public RandomAccessFile {
   }
 
  private:
-  static constexpr size_t kMaxHintWindows = 1024;
-
   Status BufferedRead(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const {
     ssize_t r = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
@@ -176,9 +148,6 @@ class PosixRandomAccessFile : public RandomAccessFile {
   int fd_;
   uint64_t file_size_;
   bool direct_;
-  // Coalesced [start, end) windows already hinted via posix_fadvise.
-  mutable Mutex hint_mu_;
-  mutable std::map<uint64_t, uint64_t> hinted_ GUARDED_BY(hint_mu_);
 };
 
 class PosixWritableFile : public WritableFile {

@@ -6,9 +6,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
-#include <map>
+#include <functional>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "io/uring_env.h"
 #include "lsm/merging_iterator.h"
@@ -427,9 +428,9 @@ Status DB::NewWalLocked() {
 
 void DB::PublishViewLocked() {
   auto view = std::make_shared<ReadView>();
-  view->mem = mem_;
-  view->imm.reserve(imm_.size());
-  for (const ImmEntry& entry : imm_) view->imm.push_back(entry.mem);
+  view->memtables.reserve(1 + imm_.size());
+  if (mem_ != nullptr) view->memtables.push_back(mem_);
+  for (const ImmEntry& entry : imm_) view->memtables.push_back(entry.mem);
   view->version = std::make_shared<const Version>(current_);
   MutexLock view_lock(view_mu_);
   view_ = std::move(view);
@@ -952,7 +953,7 @@ Status DB::Get(const ReadOptions& options, const Slice& key,
     bool found_entry = false;
     ValueType type = ValueType::kValue;
     int memtables_probed = 0;
-    for (const MemTable* mem : view->MemTables()) {
+    for (const auto& mem : view->memtables) {
       memtables_probed++;
       Status s = mem->Get(lookup, value, &found_entry, &type);
       if (found_entry) {
@@ -1081,7 +1082,7 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
   for (size_t i = 0; i < keys.size(); i++) {
     bool found_entry = false;
     ValueType type = ValueType::kValue;
-    for (const MemTable* mem : view->MemTables()) {
+    for (const auto& mem : view->memtables) {
       Status s = mem->Get(lookups[i], &(*values)[i], &found_entry, &type);
       if (found_entry) {
         if (s.ok() && type == ValueType::kValueHandle) {
@@ -1098,186 +1099,204 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
   if (unresolved == 0) return statuses;
 
   // Stage 2: plan the disk probes — every (key, run) Bloom-filter and
-  // fence-pointer probe up front, still no I/O. Each surviving probe names
-  // exactly one data block.
+  // fence-pointer probe up front, still no I/O. The plan is one flat
+  // vector of every outcome, appended in run order (shallowest level
+  // first, runs newest first) — the order Get would probe in; rank records
+  // that order across the sorts below. Stage 4 counts each outcome only
+  // once its key reaches it, so the counters move exactly as Get's do.
   const Version& version = *view->version;
   struct Probe {
     const TableReader* table;
     BlockHandle handle;
     uint64_t file_number;
+    uint32_t key;  // Index into keys.
+    uint32_t rank;
     int stat_level;  // StatLevel(level - 1) of the run that planned it.
+    TableReader::ProbeState state;
+    bool batched;   // Fetched by a batch group (stage 3).
+    Status status;  // A probe error, or the block's fetch outcome.
+    std::shared_ptr<const std::string> contents;
+
+    bool NeedsBlock() const {
+      return state == TableReader::ProbeState::kBlockNeeded;
+    }
   };
-  // Per key, in run order (shallowest level first, runs newest first) —
-  // the order Get would probe in.
-  std::vector<std::vector<Probe>> probes(keys.size());
+  std::vector<Probe> plan;
+  plan.reserve(unresolved * version.TotalRuns());
+  // A key whose probe failed plans no deeper runs; the error stands in its
+  // place in run order.
+  std::vector<bool> probe_failed(keys.size(), false);
   for (int level = 1; level <= version.NumLevels(); level++) {
     const int sl = StatLevel(level - 1);
     for (const RunPtr& run : version.RunsAt(level)) {
       for (size_t i = 0; i < keys.size(); i++) {
-        if (resolved[i]) continue;
-        TableReader::ProbeState state;
-        BlockHandle handle;
-        Status s = run->table->FindBlockHandle(lookups[i], &handle, &state);
-        if (!s.ok()) {
-          statuses[i] = s;
-          resolved[i] = true;
-          continue;
+        if (resolved[i] || probe_failed[i]) continue;
+        Probe probe{run->table.get(),
+                    BlockHandle(),
+                    run->file_number,
+                    static_cast<uint32_t>(i),
+                    static_cast<uint32_t>(plan.size()),
+                    sl,
+                    TableReader::ProbeState::kNoBlock,
+                    false,
+                    Status::OK(),
+                    nullptr};
+        probe.status = run->table->FindBlockHandle(lookups[i], &probe.handle,
+                                                   &probe.state);
+        if (!probe.status.ok()) {
+          probe.state = TableReader::ProbeState::kNoBlock;
+          probe_failed[i] = true;
         }
-        switch (state) {
-          case TableReader::ProbeState::kBlockNeeded:
-            probes[i].push_back(Probe{run->table.get(), handle,
-                                      run->file_number, sl});
-            break;
-          case TableReader::ProbeState::kFilteredOut:
-            counters_.filter_negatives.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            counters_.filter_negatives_per_level[sl].fetch_add(
-                1, std::memory_order_relaxed);
-            if (PerfCountsEnabled()) {
-              GetPerfContext()->filter_negatives_per_level[sl]++;
-            }
-            break;
-          case TableReader::ProbeState::kNoBlock:
-            break;
-        }
+        plan.push_back(std::move(probe));
       }
     }
   }
 
-  // Stage 3: fetch the surviving blocks together. Dedup (several keys can
-  // share a block) and order by (file, offset) — one sorted pass over the
-  // devices. Hints go out for every block before the first read, so the
-  // reads overlap; the pool then fans them out when available.
-  struct BlockFetch {
-    const TableReader* table;
-    BlockHandle handle;
-    Status status;
-    std::shared_ptr<const std::string> contents;
+  // Stage 3: fetch the surviving blocks together. Sorted by (file, offset)
+  // the plan's blocks are one ordered pass over the devices, and probes
+  // that share a block sit next to each other: the first of each such
+  // group (its leader) fetches the block once for all of them.
+  auto by_block = [](const Probe& a, const Probe& b) {
+    return std::make_tuple(!a.NeedsBlock(), a.file_number, a.handle.offset,
+                           a.rank) < std::make_tuple(!b.NeedsBlock(),
+                                                     b.file_number,
+                                                     b.handle.offset, b.rank);
   };
-  std::map<std::pair<uint64_t, uint64_t>, size_t> fetch_index;
-  std::vector<BlockFetch> fetches;
-  for (size_t i = 0; i < keys.size(); i++) {
-    for (const Probe& probe : probes[i]) {
-      fetch_index.emplace(
-          std::make_pair(probe.file_number, probe.handle.offset),
-          fetch_index.size());
+  std::sort(plan.begin(), plan.end(), by_block);
+  std::vector<Probe*> leaders;
+  for (Probe& probe : plan) {
+    if (!probe.NeedsBlock()) break;
+    if (leaders.empty() || leaders.back()->file_number != probe.file_number ||
+        leaders.back()->handle.offset != probe.handle.offset) {
+      leaders.push_back(&probe);
     }
   }
-  fetches.resize(fetch_index.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    for (const Probe& probe : probes[i]) {
-      const size_t fi = fetch_index.at(
-          std::make_pair(probe.file_number, probe.handle.offset));
-      fetches[fi].table = probe.table;
-      fetches[fi].handle = probe.handle;
-    }
-  }
-  // fetch_index iterates in (file, offset) order.
-  std::vector<size_t> fetch_order;
-  fetch_order.reserve(fetches.size());
-  for (const auto& [key, fi] : fetch_index) fetch_order.push_back(fi);
 
-  // Partition the (sorted, hence per-table contiguous) plan: multi-block
-  // groups on batch-capable tables are submitted to the device as ONE
-  // ReadBatch each — the whole per-table fetch plan in one io_uring_enter
-  // on the uring backend. Everything else keeps the classic path: an
-  // async-read hint per block, then per-block fan-out.
-  struct BatchGroup {
-    const TableReader* table;
-    std::vector<size_t> fis;
-  };
-  std::vector<BatchGroup> groups;
-  std::vector<size_t> singles;
-  for (size_t pos = 0; pos < fetch_order.size();) {
-    const TableReader* table = fetches[fetch_order[pos]].table;
+  // Leaders are per-table contiguous: multi-block groups on batch-capable
+  // tables are submitted to the device as ONE ReadBatch each — the whole
+  // per-table fetch plan in one io_uring_enter on the uring backend.
+  // Everything else keeps the classic path: an async-read hint per block,
+  // then per-block fan-out.
+  std::vector<std::pair<size_t, size_t>> groups;  // leaders[first, second)
+  for (size_t pos = 0; pos < leaders.size();) {
+    const TableReader* table = leaders[pos]->table;
     size_t end = pos;
-    while (end < fetch_order.size() &&
-           fetches[fetch_order[end]].table == table) {
-      end++;
-    }
+    while (end < leaders.size() && leaders[end]->table == table) end++;
     if (table->SupportsBatchReads() && end - pos > 1) {
-      groups.push_back(BatchGroup{
-          table, std::vector<size_t>(fetch_order.begin() + pos,
-                                     fetch_order.begin() + end)});
-    } else {
-      for (size_t k = pos; k < end; k++) singles.push_back(fetch_order[k]);
+      groups.emplace_back(pos, end);
+      for (size_t k = pos; k < end; k++) leaders[k]->batched = true;
     }
     pos = end;
   }
   // Hints go out for every classic-path block before the first read, so
   // those reads overlap. Batched groups need no hints: the single
   // submission is the overlap mechanism.
-  for (size_t fi : singles) {
-    fetches[fi].table->HintBlock(fetches[fi].handle);
+  size_t num_tasks = groups.size();
+  for (Probe* leader : leaders) {
+    if (leader->batched) continue;
+    leader->table->HintBlock(leader->handle);
+    num_tasks++;
   }
-  auto fetch_one = [&fetches](size_t fi) {
-    BlockFetch& f = fetches[fi];
-    f.status = f.table->ReadBlockShared(
-        f.handle, BlockCache::InsertPriority::kHigh, &f.contents);
+  auto fetch_one = [](Probe* leader) {
+    leader->status = leader->table->ReadBlockShared(
+        leader->handle, BlockCache::InsertPriority::kHigh, &leader->contents);
   };
-  auto fetch_group = [&fetches](const BatchGroup& g) {
-    std::vector<BlockHandle> handles(g.fis.size());
-    std::vector<std::shared_ptr<const std::string>> contents(g.fis.size());
-    std::vector<Status> statuses(g.fis.size());
-    for (size_t k = 0; k < g.fis.size(); k++) {
-      handles[k] = fetches[g.fis[k]].handle;
-    }
-    Status batch = g.table->ReadBlocksShared(
-        handles.data(), handles.size(), BlockCache::InsertPriority::kHigh,
+  auto fetch_group = [&leaders](const std::pair<size_t, size_t>& g) {
+    const size_t n = g.second - g.first;
+    std::vector<BlockHandle> handles(n);
+    std::vector<std::shared_ptr<const std::string>> contents(n);
+    std::vector<Status> statuses(n);
+    for (size_t k = 0; k < n; k++) handles[k] = leaders[g.first + k]->handle;
+    Status batch = leaders[g.first]->table->ReadBlocksShared(
+        handles.data(), n, BlockCache::InsertPriority::kHigh,
         contents.data(), statuses.data());
-    for (size_t k = 0; k < g.fis.size(); k++) {
-      BlockFetch& f = fetches[g.fis[k]];
-      f.status = batch.ok() ? statuses[k] : batch;
-      f.contents = std::move(contents[k]);
+    for (size_t k = 0; k < n; k++) {
+      Probe* leader = leaders[g.first + k];
+      leader->status = batch.ok() ? statuses[k] : batch;
+      leader->contents = std::move(contents[k]);
     }
   };
-  const size_t num_tasks = singles.size() + groups.size();
   if (read_pool_ != nullptr && num_tasks > 1) {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(num_tasks);
-    for (size_t fi : singles) {
-      tasks.push_back([&fetch_one, fi] { fetch_one(fi); });
+    for (Probe* leader : leaders) {
+      if (!leader->batched) {
+        tasks.push_back([&fetch_one, leader] { fetch_one(leader); });
+      }
     }
-    for (const BatchGroup& g : groups) {
+    for (const auto& g : groups) {
       tasks.push_back([&fetch_group, &g] { fetch_group(g); });
     }
     read_pool_->RunBatch(std::move(tasks));
   } else {
-    for (size_t fi : singles) fetch_one(fi);
-    for (const BatchGroup& g : groups) fetch_group(g);
+    for (Probe* leader : leaders) {
+      if (!leader->batched) fetch_one(leader);
+    }
+    for (const auto& g : groups) fetch_group(g);
   }
 
-  // Stage 4: resolve each key against its blocks in run order (newest
-  // first), matching Get's shadowing semantics. Blocks fetched beyond a
-  // key's resolution point are speculative I/O already done; they are not
-  // counted as probes.
+  // Share each leader's block with the probes behind it, then put the plan
+  // back into per-key ranges in run order.
+  for (size_t p = 1; p < plan.size() && plan[p].NeedsBlock(); p++) {
+    if (plan[p].file_number == plan[p - 1].file_number &&
+        plan[p].handle.offset == plan[p - 1].handle.offset) {
+      plan[p].status = plan[p - 1].status;
+      plan[p].contents = plan[p - 1].contents;
+    }
+  }
+  std::sort(plan.begin(), plan.end(), [](const Probe& a, const Probe& b) {
+    return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
+  });
+
+  // Stage 4: resolve each key against its probes in run order (newest
+  // first), matching Get's shadowing semantics and its counters. Blocks
+  // fetched beyond a key's resolution point are speculative I/O already
+  // done; they, and the filters probed there, are not counted.
+  const bool perf = PerfCountsEnabled();
+  size_t begin = 0;
   for (size_t i = 0; i < keys.size(); i++) {
+    size_t end = begin;
+    while (end < plan.size() && plan[end].key == i) end++;
+    const size_t first = begin;
+    begin = end;
     if (resolved[i]) continue;
     statuses[i] = Status::NotFound();
     bool decided = false;
-    for (const Probe& probe : probes[i]) {
-      const BlockFetch& f = fetches[fetch_index.at(
-          std::make_pair(probe.file_number, probe.handle.offset))];
-      if (!f.status.ok()) {
-        statuses[i] = f.status;
+    for (size_t p = first; p < end; p++) {
+      const Probe& probe = plan[p];
+      const int sl = probe.stat_level;
+      if (!probe.status.ok()) {
+        statuses[i] = probe.status;
         decided = true;
         break;
       }
-      TableLookupResult result;
+      if (probe.state == TableReader::ProbeState::kFilteredOut) {
+        counters_.filter_negatives.fetch_add(1, std::memory_order_relaxed);
+        counters_.filter_negatives_per_level[sl].fetch_add(
+            1, std::memory_order_relaxed);
+        if (perf) GetPerfContext()->filter_negatives_per_level[sl]++;
+        continue;
+      }
+      TableLookupResult result = TableLookupResult::kNotPresent;
       ValueType type = ValueType::kValue;
-      Status s = probe.table->SearchBlock(f.contents, lookups[i],
-                                          &(*values)[i], &result, &type);
-      if (!s.ok()) {
-        statuses[i] = s;
-        decided = true;
-        break;
+      if (probe.state == TableReader::ProbeState::kBlockNeeded) {
+        Status s = probe.table->SearchBlock(Slice(*probe.contents),
+                                            lookups[i], &(*values)[i],
+                                            &result, &type);
+        if (!s.ok()) {
+          statuses[i] = s;
+          decided = true;
+          break;
+        }
       }
+      // Past the last fence pointer (kNoBlock) Get counts a probe that
+      // found nothing, as for a block that lacks the key.
       counters_.runs_probed.fetch_add(1, std::memory_order_relaxed);
-      counters_.runs_probed_per_level[probe.stat_level].fetch_add(
+      counters_.runs_probed_per_level[sl].fetch_add(
           1, std::memory_order_relaxed);
-      if (PerfCountsEnabled()) {
+      if (perf) {
         GetPerfContext()->runs_probed++;
-        GetPerfContext()->runs_probed_per_level[probe.stat_level]++;
+        GetPerfContext()->runs_probed_per_level[sl]++;
       }
       if (result == TableLookupResult::kFound) {
         statuses[i] = type == ValueType::kValueHandle
@@ -1293,11 +1312,11 @@ std::vector<Status> DB::MultiGet(const ReadOptions& options,
       }
       // kNotPresent: Bloom false positive; keep going.
       counters_.false_positives.fetch_add(1, std::memory_order_relaxed);
-      counters_.false_positives_per_level[probe.stat_level].fetch_add(
+      counters_.false_positives_per_level[sl].fetch_add(
           1, std::memory_order_relaxed);
-      if (PerfCountsEnabled()) {
+      if (perf) {
         GetPerfContext()->bloom_false_positives++;
-        GetPerfContext()->false_positives_per_level[probe.stat_level]++;
+        GetPerfContext()->false_positives_per_level[sl]++;
       }
     }
     if (!decided) {

@@ -134,7 +134,7 @@ std::unique_ptr<Iterator> DB::NewIterator(const ReadOptions& options) {
           ? options.snapshot->sequence()
           : last_sequence_.load(std::memory_order_acquire);
   std::vector<std::unique_ptr<Iterator>> children;
-  for (const MemTable* mem : view->MemTables()) {
+  for (const auto& mem : view->memtables) {
     children.push_back(mem->NewIterator());
   }
   // Scan pipelining: each table cursor prefetches its own upcoming blocks

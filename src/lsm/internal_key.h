@@ -11,6 +11,7 @@
 #define MONKEYDB_LSM_INTERNAL_KEY_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "util/coding.h"
@@ -99,18 +100,44 @@ class InternalKeyComparator {
 };
 
 // A lookup key: the internal key for (user_key, snapshot sequence) that
-// sorts before all entries visible at that snapshot.
+// sorts before all entries visible at that snapshot, stored after its
+// varint32 length so the memtable can seek with it as is:
+//   varint32 internal_key_size | user_key | trailer(8 bytes)
+// Keys up to kInlineBytes live inside the object (no allocation per Get).
 class LookupKey {
  public:
   LookupKey(const Slice& user_key, SequenceNumber sequence) {
-    AppendInternalKey(&rep_, user_key, sequence, kValueTypeForSeek);
+    const size_t internal_size = user_key.size() + 8;
+    size_ = static_cast<size_t>(VarintLength(internal_size)) + internal_size;
+    if (size_ > kInlineBytes) heap_.resize(size_);
+    char* p = EncodeVarint32(data(), static_cast<uint32_t>(internal_size));
+    internal_start_ = static_cast<uint8_t>(p - data());
+    memcpy(p, user_key.data(), user_key.size());
+    EncodeFixed64(p + user_key.size(),
+                  PackSequenceAndType(sequence, kValueTypeForSeek));
   }
 
-  Slice internal_key() const { return Slice(rep_); }
-  Slice user_key() const { return Slice(rep_.data(), rep_.size() - 8); }
+  // The length-prefixed key the memtable's skiplist is ordered by.
+  Slice memtable_key() const { return Slice(data(), size_); }
+  Slice internal_key() const {
+    return Slice(data() + internal_start_, size_ - internal_start_);
+  }
+  Slice user_key() const {
+    return Slice(data() + internal_start_, size_ - internal_start_ - 8);
+  }
 
  private:
-  std::string rep_;
+  static constexpr size_t kInlineBytes = 128;
+
+  char* data() { return size_ > kInlineBytes ? heap_.data() : inline_; }
+  const char* data() const {
+    return size_ > kInlineBytes ? heap_.data() : inline_;
+  }
+
+  char inline_[kInlineBytes];
+  std::string heap_;  // Used only for keys longer than kInlineBytes.
+  size_t size_;
+  uint8_t internal_start_;
 };
 
 }  // namespace monkeydb

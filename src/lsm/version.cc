@@ -42,17 +42,9 @@ uint64_t Version::TotalFilterBits() const {
 }
 
 uint64_t ReadView::MemEntries() const {
-  uint64_t total = mem != nullptr ? mem->num_entries() : 0;
-  for (const auto& m : imm) total += m->num_entries();
+  uint64_t total = 0;
+  for (const auto& m : memtables) total += m->num_entries();
   return total;
-}
-
-std::vector<const MemTable*> ReadView::MemTables() const {
-  std::vector<const MemTable*> tables;
-  tables.reserve(1 + imm.size());
-  if (mem != nullptr) tables.push_back(mem.get());
-  for (const auto& m : imm) tables.push_back(m.get());
-  return tables;
 }
 
 // Edit record tags.

@@ -88,15 +88,12 @@ class Version {
 // Envs keep removed-but-open files alive, POSIX unlink semantics) even
 // after compactions replace the tree underneath it.
 struct ReadView {
-  std::shared_ptr<MemTable> mem;
-  std::vector<std::shared_ptr<MemTable>> imm;  // Newest first.
+  // Every memtable in probe order: active first, then frozen newest-first.
+  std::vector<std::shared_ptr<MemTable>> memtables;
   std::shared_ptr<const Version> version;
 
   // Entries buffered in memory (active + immutable memtables).
   uint64_t MemEntries() const;
-
-  // Every memtable in probe order: active first, then frozen newest-first.
-  std::vector<const MemTable*> MemTables() const;
 };
 
 // --- Manifest: a log of version edits for recovery ---

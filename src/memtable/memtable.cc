@@ -59,14 +59,8 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
 Status MemTable::Get(const LookupKey& lookup, std::string* value,
                      bool* found_entry, ValueType* type) const {
   *found_entry = false;
-  // Build a seek key in the memtable's encoded format.
-  std::string seek_key;
-  PutVarint32(&seek_key,
-              static_cast<uint32_t>(lookup.internal_key().size()));
-  seek_key.append(lookup.internal_key().data(), lookup.internal_key().size());
-
   Table::Iterator iter(&table_);
-  iter.Seek(seek_key.data());
+  iter.Seek(lookup.memtable_key().data());
   if (!iter.Valid()) return Status::NotFound();
 
   // The iterator is at the first entry >= lookup key. Because internal keys

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/coding.h"
 
@@ -64,190 +65,202 @@ Slice BlockBuilder::Finish() {
   return Slice(buffer_);
 }
 
-// --- Block ---
+// --- BlockCursor ---
 
-Block::Block(std::shared_ptr<const std::string> contents)
-    : contents_(std::move(contents)) {
-  const std::string& c = *contents_;
-  if (c.size() < sizeof(uint32_t)) return;
-  num_restarts_ = DecodeFixed32(c.data() + c.size() - sizeof(uint32_t));
+void BlockCursor::KeyBuffer::Rebuild(size_t shared, const char* delta,
+                                     size_t n) {
+  const size_t len = shared + n;
+  if (data_ == inline_ && len > kInlineKeyBytes) heap_.assign(inline_, shared);
+  if (data_ != inline_ || len > kInlineKeyBytes) {
+    heap_.resize(len);
+    data_ = heap_.data();
+  }
+  memcpy(data_ + shared, delta, n);
+  size_ = len;
+}
+
+BlockCursor::BlockCursor(const InternalKeyComparator* comparator,
+                         const Slice& contents)
+    : comparator_(comparator) {
+  if (contents.size() < sizeof(uint32_t)) return;
+  num_restarts_ =
+      DecodeFixed32(contents.data() + contents.size() - sizeof(uint32_t));
   const size_t restart_array_bytes =
       (static_cast<size_t>(num_restarts_) + 1) * sizeof(uint32_t);
-  if (restart_array_bytes > c.size()) return;
-  data_ = c.data();
-  data_size_ = c.size() - restart_array_bytes;
-  restarts_ = c.data() + data_size_;
+  if (restart_array_bytes > contents.size()) {
+    num_restarts_ = 0;
+    return;
+  }
+  data_ = contents.data();
+  data_size_ = contents.size() - restart_array_bytes;
+  restarts_ = data_ + data_size_;
+  current_ = data_size_;
   ok_ = true;
 }
 
-namespace {
+void BlockCursor::SeekToFirst() {
+  SeekToRestartPoint(0);
+  ParseNextKey();
+}
 
-class BlockIterator : public Iterator {
- public:
-  BlockIterator(const InternalKeyComparator* comparator, const char* data,
-                size_t data_size, const char* restarts, uint32_t num_restarts,
-                std::shared_ptr<const std::string> owner)
-      : comparator_(comparator),
-        data_(data),
-        data_size_(data_size),
-        restarts_(restarts),
-        num_restarts_(num_restarts),
-        owner_(std::move(owner)),
-        current_(data_size) {}
-
-  bool Valid() const override { return current_ < data_size_; }
-
-  void SeekToFirst() override {
-    SeekToRestartPoint(0);
-    ParseNextKey();
+void BlockCursor::SeekToLast() {
+  SeekToRestartPoint(num_restarts_ == 0 ? 0 : num_restarts_ - 1);
+  while (ParseNextKey() && next_offset_ < data_size_) {
+    // Keep advancing to the last entry.
   }
+}
 
-  void SeekToLast() override {
-    SeekToRestartPoint(num_restarts_ == 0 ? 0 : num_restarts_ - 1);
-    while (ParseNextKey() && next_offset_ < data_size_) {
-      // Keep advancing to the last entry.
-    }
-  }
-
-  void Seek(const Slice& target) override {
-    // Binary search over restart points: find the last restart whose key is
-    // < target, then scan forward.
-    uint32_t left = 0;
-    uint32_t right = (num_restarts_ == 0) ? 0 : num_restarts_ - 1;
-    while (left < right) {
-      const uint32_t mid = (left + right + 1) / 2;
-      Slice mid_key;
-      if (!KeyAtRestart(mid, &mid_key)) {
-        Corrupt();
-        return;
-      }
-      if (comparator_->Compare(mid_key, target) < 0) {
-        left = mid;
-      } else {
-        right = mid - 1;
-      }
-    }
-    SeekToRestartPoint(left);
-    while (ParseNextKey()) {
-      if (comparator_->Compare(Slice(key_), target) >= 0) return;
-    }
-  }
-
-  void Next() override {
-    assert(Valid());
-    ParseNextKey();
-  }
-
-  void Prev() override {
-    assert(Valid());
-    // Find the restart point strictly before current_, then scan to the
-    // entry preceding current_.
-    const size_t original = current_;
-    uint32_t restart_index = num_restarts_ - 1;
-    while (restart_index > 0 && RestartOffset(restart_index) >= original) {
-      restart_index--;
-    }
-    if (RestartOffset(restart_index) >= original) {
-      current_ = data_size_;  // Before the first entry: invalidate.
-      key_.clear();
+void BlockCursor::Seek(const Slice& target) {
+  // Binary search over restart points: find the last restart whose key is
+  // < target, then scan forward.
+  uint32_t left = 0;
+  uint32_t right = (num_restarts_ == 0) ? 0 : num_restarts_ - 1;
+  while (left < right) {
+    const uint32_t mid = (left + right + 1) / 2;
+    Slice mid_key;
+    if (!KeyAtRestart(mid, &mid_key)) {
+      Corrupt();
       return;
     }
-    SeekToRestartPoint(restart_index);
-    while (true) {
-      const size_t entry_start = next_offset_;
-      if (!ParseNextKey()) return;
-      if (next_offset_ >= original) {
-        current_ = entry_start;
-        return;
-      }
+    if (comparator_->Compare(mid_key, target) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
     }
   }
+  SeekToRestartPoint(left);
+  while (ParseNextKey()) {
+    if (comparator_->Compare(key(), target) >= 0) return;
+  }
+}
+
+void BlockCursor::Next() {
+  assert(Valid());
+  ParseNextKey();
+}
+
+void BlockCursor::Prev() {
+  assert(Valid());
+  // Find the restart point strictly before current_, then scan to the
+  // entry preceding current_.
+  const size_t original = current_;
+  uint32_t restart_index = num_restarts_ - 1;
+  while (restart_index > 0 && RestartOffset(restart_index) >= original) {
+    restart_index--;
+  }
+  if (RestartOffset(restart_index) >= original) {
+    current_ = data_size_;  // Before the first entry: invalidate.
+    key_.Clear();
+    return;
+  }
+  SeekToRestartPoint(restart_index);
+  while (true) {
+    const size_t entry_start = next_offset_;
+    if (!ParseNextKey()) return;
+    if (next_offset_ >= original) {
+      current_ = entry_start;
+      return;
+    }
+  }
+}
+
+size_t BlockCursor::RestartOffset(uint32_t index) const {
+  return DecodeFixed32(restarts_ + index * sizeof(uint32_t));
+}
+
+void BlockCursor::SeekToRestartPoint(uint32_t index) {
+  key_.Clear();
+  next_offset_ = (num_restarts_ == 0) ? 0 : RestartOffset(index);
+  current_ = data_size_;
+  value_ = Slice();
+}
+
+// Decodes a full key at a restart point without disturbing the cursor.
+bool BlockCursor::KeyAtRestart(uint32_t index, Slice* out) const {
+  const char* p = data_ + RestartOffset(index);
+  const char* limit = data_ + data_size_;
+  uint32_t shared, non_shared, value_len;
+  p = GetVarint32Ptr(p, limit, &shared);
+  if (p == nullptr || shared != 0) return false;
+  p = GetVarint32Ptr(p, limit, &non_shared);
+  if (p == nullptr) return false;
+  p = GetVarint32Ptr(p, limit, &value_len);
+  if (p == nullptr || p + non_shared > limit) return false;
+  *out = Slice(p, non_shared);
+  return true;
+}
+
+// Parses the entry at next_offset_ into key_/value_ and advances. Returns
+// false (and invalidates) at end of block or on corruption.
+bool BlockCursor::ParseNextKey() {
+  current_ = next_offset_;
+  if (current_ >= data_size_) {
+    key_.Clear();
+    value_ = Slice();
+    current_ = data_size_;
+    return false;
+  }
+  const char* p = data_ + current_;
+  const char* limit = data_ + data_size_;
+  uint32_t shared, non_shared, value_len;
+  p = GetVarint32Ptr(p, limit, &shared);
+  if (p) p = GetVarint32Ptr(p, limit, &non_shared);
+  if (p) p = GetVarint32Ptr(p, limit, &value_len);
+  if (p == nullptr || p + non_shared + value_len > limit ||
+      shared > key_.size()) {
+    Corrupt();
+    return false;
+  }
+  key_.Rebuild(shared, p, non_shared);
+  value_ = Slice(p + non_shared, value_len);
+  next_offset_ = (p + non_shared + value_len) - data_;
+  return true;
+}
+
+void BlockCursor::Corrupt() {
+  status_ = Status::Corruption("malformed block entry");
+  current_ = data_size_;
+  key_.Clear();
+}
+
+// --- Block ---
+
+Block::Block(std::shared_ptr<const std::string> contents)
+    : contents_(std::move(contents)),
+      ok_(BlockCursor(nullptr, Slice(*contents_)).ok()) {}
+
+namespace {
+
+// Heap iterator for scans: a BlockCursor plus a reference that keeps the
+// bytes alive.
+class BlockIterator : public Iterator {
+ public:
+  BlockIterator(const InternalKeyComparator* comparator,
+                std::shared_ptr<const std::string> owner)
+      : owner_(std::move(owner)), cursor_(comparator, Slice(*owner_)) {}
+
+  bool Valid() const override { return cursor_.Valid(); }
+  void SeekToFirst() override { cursor_.SeekToFirst(); }
+  void SeekToLast() override { cursor_.SeekToLast(); }
+  void Seek(const Slice& target) override { cursor_.Seek(target); }
+  void Next() override { cursor_.Next(); }
+  void Prev() override { cursor_.Prev(); }
 
   Slice key() const override {
     assert(Valid());
-    return Slice(key_);
+    return cursor_.key();
   }
 
   Slice value() const override {
     assert(Valid());
-    return value_;
+    return cursor_.value();
   }
 
-  Status status() const override { return status_; }
+  Status status() const override { return cursor_.status(); }
 
  private:
-  size_t RestartOffset(uint32_t index) const {
-    return DecodeFixed32(restarts_ + index * sizeof(uint32_t));
-  }
-
-  void SeekToRestartPoint(uint32_t index) {
-    key_.clear();
-    next_offset_ = (num_restarts_ == 0) ? 0 : RestartOffset(index);
-    current_ = data_size_;
-    value_ = Slice();
-  }
-
-  // Decodes a full key at a restart point without disturbing the cursor.
-  bool KeyAtRestart(uint32_t index, Slice* out) {
-    const char* p = data_ + RestartOffset(index);
-    const char* limit = data_ + data_size_;
-    uint32_t shared, non_shared, value_len;
-    p = GetVarint32Ptr(p, limit, &shared);
-    if (p == nullptr || shared != 0) return false;
-    p = GetVarint32Ptr(p, limit, &non_shared);
-    if (p == nullptr) return false;
-    p = GetVarint32Ptr(p, limit, &value_len);
-    if (p == nullptr || p + non_shared > limit) return false;
-    *out = Slice(p, non_shared);
-    return true;
-  }
-
-  // Parses the entry at next_offset_ into key_/value_ and advances. Returns
-  // false (and invalidates) at end of block or on corruption.
-  bool ParseNextKey() {
-    current_ = next_offset_;
-    if (current_ >= data_size_) {
-      key_.clear();
-      value_ = Slice();
-      current_ = data_size_;
-      return false;
-    }
-    const char* p = data_ + current_;
-    const char* limit = data_ + data_size_;
-    uint32_t shared, non_shared, value_len;
-    p = GetVarint32Ptr(p, limit, &shared);
-    if (p) p = GetVarint32Ptr(p, limit, &non_shared);
-    if (p) p = GetVarint32Ptr(p, limit, &value_len);
-    if (p == nullptr || p + non_shared + value_len > limit ||
-        shared > key_.size()) {
-      Corrupt();
-      return false;
-    }
-    key_.resize(shared);
-    key_.append(p, non_shared);
-    value_ = Slice(p + non_shared, value_len);
-    next_offset_ = (p + non_shared + value_len) - data_;
-    return true;
-  }
-
-  void Corrupt() {
-    status_ = Status::Corruption("malformed block entry");
-    current_ = data_size_;
-    key_.clear();
-  }
-
-  const InternalKeyComparator* comparator_;
-  const char* data_;
-  size_t data_size_;
-  const char* restarts_;
-  uint32_t num_restarts_;
   std::shared_ptr<const std::string> owner_;  // Keeps the payload alive.
-
-  size_t current_;       // Offset of current entry (data_size_ = invalid).
-  size_t next_offset_ = 0;
-  std::string key_;
-  Slice value_;
-  Status status_;
+  BlockCursor cursor_;
 };
 
 class ErrorIterator : public Iterator {
@@ -275,8 +288,7 @@ std::unique_ptr<Iterator> Block::NewIterator(
     return std::make_unique<ErrorIterator>(
         Status::Corruption("malformed block"));
   }
-  return std::make_unique<BlockIterator>(comparator, data_, data_size_,
-                                         restarts_, num_restarts_, contents_);
+  return std::make_unique<BlockIterator>(comparator, contents_);
 }
 
 }  // namespace monkeydb

@@ -85,13 +85,16 @@ Status TableReader::ReadBlockShared(
   // block_read_nanos spans the whole fetch: cache lookup + any disk read.
   PerfTimer read_timer(&GetPerfContext()->block_read_nanos);
   TraceSpan fetch_span(TraceName::kBlockFetch);
-  BlockCache::Key cache_key{options_.cache_file_id, handle.offset};
-  if (options_.block_cache != nullptr) {
+  BlockCache* cache = options_.block_cache;
+  const BlockCache::Key cache_key{options_.cache_file_id, handle.offset};
+  // A miss reads into a page the cache hands out with the miss.
+  BlockCache::Buffer buffer(handle.size + kBlockTrailerSize);
+  if (cache != nullptr) {
     bool was_prefetched = false;
     std::shared_ptr<const std::string> cached;
     {
       StopWatch watch(options_.metrics, Hist::kBlockCacheLookupLatency);
-      cached = options_.block_cache->Lookup(cache_key, &was_prefetched);
+      cached = cache->Lookup(cache_key, &was_prefetched, &buffer);
     }
     if (cached != nullptr) {
       if (PerfCountsEnabled()) {
@@ -108,24 +111,21 @@ Status TableReader::ReadBlockShared(
     }
   }
 
-  std::string raw;
+  std::string* raw = buffer.str();
   {
     StopWatch watch(options_.metrics, Hist::kBlockReadLatency);
-    MONKEYDB_RETURN_IF_ERROR(ReadBlockContents(file_.get(), handle, &raw));
+    MONKEYDB_RETURN_IF_ERROR(ReadBlockContents(file_.get(), handle, raw));
   }
   if (PerfCountsEnabled()) {
     PerfContext* perf = GetPerfContext();
     perf->blocks_read_from_disk++;
-    perf->block_bytes_read += raw.size();
+    perf->block_bytes_read += raw->size();
   }
   if (fetch_span.armed()) {
-    fetch_span.set_args(0, static_cast<int64_t>(raw.size()));
+    fetch_span.set_args(0, static_cast<int64_t>(raw->size()));
   }
-  auto shared_contents = std::make_shared<const std::string>(std::move(raw));
-  if (options_.block_cache != nullptr) {
-    options_.block_cache->Insert(cache_key, shared_contents, priority);
-  }
-  *contents = std::move(shared_contents);
+  *contents = buffer.Publish();
+  if (cache != nullptr) cache->Insert(cache_key, *contents, priority);
   return Status::OK();
 }
 
@@ -137,14 +137,20 @@ Status TableReader::ReadBlocksShared(
     const BlockHandle* handles, size_t count,
     BlockCache::InsertPriority priority,
     std::shared_ptr<const std::string>* contents, Status* statuses) const {
-  // Pass 1: serve cache hits, collect misses.
+  BlockCache* cache = options_.block_cache;
+  // Pass 1: serve cache hits, collect misses with the buffers their
+  // lookups handed out.
   std::vector<size_t> misses;
+  std::vector<BlockCache::Buffer> buffers;
   misses.reserve(count);
+  buffers.reserve(count);
   for (size_t i = 0; i < count; i++) {
     statuses[i] = Status::OK();
     contents[i] = nullptr;
-    if (options_.block_cache == nullptr) {
+    BlockCache::Buffer buffer(handles[i].size + kBlockTrailerSize);
+    if (cache == nullptr) {
       misses.push_back(i);
+      buffers.push_back(std::move(buffer));
       continue;
     }
     PerfTimer read_timer(&GetPerfContext()->block_read_nanos);
@@ -152,8 +158,8 @@ Status TableReader::ReadBlocksShared(
     std::shared_ptr<const std::string> cached;
     {
       StopWatch watch(options_.metrics, Hist::kBlockCacheLookupLatency);
-      cached = options_.block_cache->Lookup(
-          {options_.cache_file_id, handles[i].offset}, &was_prefetched);
+      cached = cache->Lookup({options_.cache_file_id, handles[i].offset},
+                             &was_prefetched, &buffer);
     }
     if (cached != nullptr) {
       if (PerfCountsEnabled()) {
@@ -165,11 +171,13 @@ Status TableReader::ReadBlocksShared(
       contents[i] = std::move(cached);
     } else {
       misses.push_back(i);
+      buffers.push_back(std::move(buffer));
     }
   }
   if (misses.empty()) return Status::OK();
 
   if (!file_->SupportsReadBatch()) {
+    buffers.clear();
     for (size_t i : misses) {
       statuses[i] = ReadBlockShared(handles[i], priority, &contents[i]);
     }
@@ -177,20 +185,20 @@ Status TableReader::ReadBlocksShared(
   }
 
   // Pass 2: one batched submission for every miss, straight into each
-  // block's final string storage (zero intermediate copy, as in
+  // block's final storage (zero intermediate copy, as in
   // ReadBlockContents).
   PerfTimer read_timer(&GetPerfContext()->block_read_nanos);
   TraceSpan fetch_span(TraceName::kBlockFetch);
-  std::vector<std::string> raws(misses.size());
   std::vector<ReadRequest> reqs(misses.size());
   int64_t miss_bytes = 0;
   for (size_t m = 0; m < misses.size(); m++) {
     const BlockHandle& handle = handles[misses[m]];
-    raws[m].resize(handle.size + kBlockTrailerSize);
+    std::string* raw = buffers[m].str();
+    raw->resize(handle.size + kBlockTrailerSize);
     reqs[m].offset = handle.offset;
-    reqs[m].n = raws[m].size();
-    reqs[m].scratch = raws[m].data();
-    miss_bytes += static_cast<int64_t>(raws[m].size());
+    reqs[m].n = raw->size();
+    reqs[m].scratch = raw->data();
+    miss_bytes += static_cast<int64_t>(raw->size());
   }
   if (fetch_span.armed()) fetch_span.set_args(0, miss_bytes);
   {
@@ -204,31 +212,30 @@ Status TableReader::ReadBlocksShared(
   for (size_t m = 0; m < misses.size(); m++) {
     const size_t i = misses[m];
     const BlockHandle& handle = handles[i];
+    std::string* raw = buffers[m].str();
     if (!reqs[m].status.ok()) {
       statuses[i] = reqs[m].status;
       continue;
     }
-    if (reqs[m].result.size() != raws[m].size()) {
+    if (reqs[m].result.size() != raw->size()) {
       statuses[i] = Status::Corruption("truncated block read");
       continue;
     }
-    if (reqs[m].result.data() != raws[m].data()) {
-      raws[m].assign(reqs[m].result.data(), reqs[m].result.size());
+    if (reqs[m].result.data() != raw->data()) {
+      raw->assign(reqs[m].result.data(), reqs[m].result.size());
     }
-    statuses[i] = VerifyAndStripBlockTrailer(handle, &raws[m]);
+    statuses[i] = VerifyAndStripBlockTrailer(handle, raw);
     if (!statuses[i].ok()) continue;
     if (PerfCountsEnabled()) {
       PerfContext* perf = GetPerfContext();
       perf->blocks_read_from_disk++;
-      perf->block_bytes_read += raws[m].size();
+      perf->block_bytes_read += raw->size();
     }
-    auto shared =
-        std::make_shared<const std::string>(std::move(raws[m]));
-    if (options_.block_cache != nullptr) {
-      options_.block_cache->Insert({options_.cache_file_id, handle.offset},
-                                   shared, priority);
+    contents[i] = buffers[m].Publish();
+    if (cache != nullptr) {
+      cache->Insert({options_.cache_file_id, handle.offset}, contents[i],
+                    priority);
     }
-    contents[i] = std::move(shared);
   }
   return Status::OK();
 }
@@ -266,35 +273,34 @@ Status TableReader::FindBlockHandle(const LookupKey& lookup,
   // >= the lookup internal key.
   if (perf) GetPerfContext()->fence_seeks++;
   TraceSpan fence_span(TraceName::kFenceSeek);
-  auto index_iter = index_block_->NewIterator(options_.comparator);
-  index_iter->Seek(lookup.internal_key());
-  if (!index_iter->Valid()) {
+  BlockCursor index(options_.comparator, index_block_->contents());
+  index.Seek(lookup.internal_key());
+  if (!index.Valid()) {
     *state = ProbeState::kNoBlock;
-    return index_iter->status();
+    return index.status();
   }
 
-  Slice handle_value = index_iter->value();
+  Slice handle_value = index.value();
   MONKEYDB_RETURN_IF_ERROR(handle->DecodeFrom(&handle_value));
   *state = ProbeState::kBlockNeeded;
   if (fence_span.armed()) fence_span.set_args(1);
   return Status::OK();
 }
 
-Status TableReader::SearchBlock(
-    const std::shared_ptr<const std::string>& contents,
-    const LookupKey& lookup, std::string* value, TableLookupResult* result,
-    ValueType* type) const {
-  auto block = std::make_shared<const Block>(contents);
-  if (!block->ok()) return Status::Corruption("malformed data block");
-  auto block_iter = block->NewIterator(options_.comparator);
-  block_iter->Seek(lookup.internal_key());
-  if (!block_iter->Valid()) {
+Status TableReader::SearchBlock(const Slice& contents,
+                                const LookupKey& lookup, std::string* value,
+                                TableLookupResult* result,
+                                ValueType* type) const {
+  BlockCursor cursor(options_.comparator, contents);
+  if (!cursor.ok()) return Status::Corruption("malformed data block");
+  cursor.Seek(lookup.internal_key());
+  if (!cursor.Valid()) {
     *result = TableLookupResult::kNotPresent;
-    return block_iter->status();
+    return cursor.status();
   }
 
   ParsedInternalKey parsed;
-  if (!ParseInternalKey(block_iter->key(), &parsed)) {
+  if (!ParseInternalKey(cursor.key(), &parsed)) {
     return Status::Corruption("malformed internal key in data block");
   }
   if (options_.comparator->user_comparator()->Compare(
@@ -307,7 +313,7 @@ Status TableReader::SearchBlock(
     *result = TableLookupResult::kDeleted;
     return Status::OK();
   }
-  value->assign(block_iter->value().data(), block_iter->value().size());
+  value->assign(cursor.value().data(), cursor.value().size());
   *result = TableLookupResult::kFound;
   return Status::OK();
 }
@@ -334,7 +340,7 @@ Status TableReader::Get(const LookupKey& lookup, std::string* value,
   std::shared_ptr<const std::string> contents;
   MONKEYDB_RETURN_IF_ERROR(ReadBlockShared(
       handle, BlockCache::InsertPriority::kHigh, &contents));
-  return SearchBlock(contents, lookup, value, result, type);
+  return SearchBlock(Slice(*contents), lookup, value, result, type);
 }
 
 namespace {

@@ -101,9 +101,9 @@ class TableReader {
 
   // Resolves a lookup inside raw block contents previously fetched for the
   // handle FindBlockHandle produced (same semantics as the tail of Get).
-  Status SearchBlock(const std::shared_ptr<const std::string>& contents,
-                     const LookupKey& lookup, std::string* value,
-                     TableLookupResult* result,
+  // Seeks with a stack cursor: no allocation beyond filling *value.
+  Status SearchBlock(const Slice& contents, const LookupKey& lookup,
+                     std::string* value, TableLookupResult* result,
                      ValueType* type = nullptr) const;
 
   // Reads the raw block payload at handle, consulting the cache first and

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace monkeydb {
 namespace {
 
@@ -131,6 +135,145 @@ TEST(BlockCache, SharedPtrOutlivesEviction) {
   }
   // The pinned block data remains valid regardless of eviction.
   EXPECT_EQ((*pinned)[0], 'z');
+}
+
+// --- Recycled page buffers ---
+
+// Reads a block the way TableReader does on a miss: Lookup with a Buffer,
+// fill what it hands out, publish, insert.
+std::shared_ptr<const std::string> ReadThrough(BlockCache* cache,
+                                               const BlockCache::Key& key,
+                                               size_t size, char fill) {
+  BlockCache::Buffer buffer(size);
+  if (auto hit = cache->Lookup(key, nullptr, &buffer)) return hit;
+  buffer.str()->assign(size, fill);
+  auto block = buffer.Publish();
+  cache->Insert(key, block);
+  return block;
+}
+
+TEST(BlockCache, MissHandsOutAPage) {
+  BlockCache cache(1 << 20);
+  BlockCache::Buffer buffer(4000);
+  EXPECT_EQ(cache.Lookup({1, 0}, nullptr, &buffer), nullptr);
+  EXPECT_GE(buffer.str()->capacity(), BlockCache::kPageBytes);
+}
+
+TEST(BlockCache, EvictedPageIsRecycledOnlyAfterItsLastReader) {
+  BlockCache cache(1 << 20);
+  const BlockCache::Key a{7, 0};
+  auto block = ReadThrough(&cache, a, 4000, 'a');
+  const char* page = block->data();
+
+  // Evicted while a reader still holds it: the next miss in the shard gets
+  // a different page.
+  cache.EraseFile(7);
+  BlockCache::Buffer other(4000);
+  ASSERT_EQ(cache.Lookup(a, nullptr, &other), nullptr);
+  EXPECT_NE(other.str()->data(), page);
+  EXPECT_EQ(*block, std::string(4000, 'a'));
+
+  // Once the last reader lets go, the page goes back to the shard's free
+  // list and the next miss there reuses it.
+  block.reset();
+  BlockCache::Buffer buffer(4000);
+  ASSERT_EQ(cache.Lookup(a, nullptr, &buffer), nullptr);
+  EXPECT_EQ(buffer.str()->data(), page);
+}
+
+TEST(BlockCache, OversizedBlocksAreNeverPooled) {
+  BlockCache cache(1 << 20);
+  const size_t big = BlockCache::kPageBytes + 100;
+  BlockCache::Buffer buffer(big);
+  EXPECT_EQ(cache.Lookup({3, 0}, nullptr, &buffer), nullptr);
+  EXPECT_LT(buffer.str()->capacity(), BlockCache::kPageBytes);
+  buffer.str()->assign(big, 'o');
+  auto block = buffer.Publish();
+  cache.Insert({3, 0}, block);
+  block.reset();
+  cache.EraseFile(3);  // Frees the oversized block: it joins no free list.
+
+  // The next miss gets a fresh page, not the oversized buffer.
+  BlockCache::Buffer next(4000);
+  ASSERT_EQ(cache.Lookup({3, 0}, nullptr, &next), nullptr);
+  EXPECT_GE(next.str()->capacity(), BlockCache::kPageBytes);
+  EXPECT_LT(next.str()->capacity(), big);
+
+  auto hit = ReadThrough(&cache, {3, 8192}, big, 'p');
+  EXPECT_EQ(cache.Lookup({3, 8192}), hit);
+  EXPECT_EQ(*hit, std::string(big, 'p'));
+}
+
+TEST(BlockCache, ZeroCapacityHandsOutNoPage) {
+  BlockCache cache(0);
+  BlockCache::Buffer buffer(4000);
+  EXPECT_EQ(cache.Lookup({1, 0}, nullptr, &buffer), nullptr);
+  EXPECT_LT(buffer.str()->capacity(), BlockCache::kPageBytes);
+  buffer.str()->assign(4000, 'z');
+  auto block = buffer.Publish();
+  cache.Insert({1, 0}, block);
+  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
+  EXPECT_EQ(cache.usage_bytes(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(*block, std::string(4000, 'z'));
+}
+
+// A published page outlives the cache that handed it out.
+TEST(BlockCache, PageOutlivesCache) {
+  std::shared_ptr<const std::string> block;
+  {
+    BlockCache cache(1 << 20);
+    block = ReadThrough(&cache, {1, 0}, 4000, 'k');
+  }
+  EXPECT_EQ(*block, std::string(4000, 'k'));
+}
+
+// Readers pin blocks while other threads insert, evict and erase on a tiny
+// cache, so pages are recycled constantly. Every block's bytes encode its
+// key; a page recycled while still pinned would be overwritten with another
+// key's bytes.
+TEST(BlockCache, PinnedPagesNeverChangeUnderChurn) {
+  BlockCache cache(16 * 4096 * 2);  // About two pages per shard.
+  auto fill_of = [](const BlockCache::Key& k) {
+    return static_cast<char>('a' + (k.file_id * 7 + k.offset / 4096) % 26);
+  };
+  std::atomic<int> corrupt{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&, t] {
+      std::vector<std::pair<BlockCache::Key,
+                            std::shared_ptr<const std::string>>>
+          pinned;
+      uint64_t x = 0x9E3779B97F4A7C15ULL * (t + 1);
+      for (int i = 0; i < 20000; i++) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const BlockCache::Key key{x % 5, (x >> 8) % 64 * 4096};
+        const size_t size = 2500 + (x >> 20) % 1500;
+        const char fill = fill_of(key);
+        auto block = ReadThrough(&cache, key, size, fill);
+        if (block->empty() || block->front() != fill ||
+            block->back() != fill) {
+          corrupt++;
+        }
+        pinned.emplace_back(key, std::move(block));
+        if (pinned.size() > 8) {
+          // Re-check the oldest pin in full before dropping it.
+          const auto& [k, b] = pinned.front();
+          if (*b != std::string(b->size(), fill_of(k))) corrupt++;
+          pinned.erase(pinned.begin());
+        }
+        if (t == 0 && i % 500 == 0) cache.EraseFile(x % 5);
+      }
+      for (const auto& [k, b] : pinned) {
+        if (*b != std::string(b->size(), fill_of(k))) corrupt++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(corrupt.load(), 0);
+  EXPECT_LE(cache.usage_bytes(), 16u * 4096 * 2 + 16 * 4096);
 }
 
 }  // namespace

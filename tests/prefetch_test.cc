@@ -16,6 +16,7 @@
 
 #include "io/block_cache.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "lsm/db.h"
 #include "sstable/table_builder.h"
 #include "sstable/table_reader.h"
@@ -323,6 +324,103 @@ TEST(DbPrefetch, IteratorDestructionUnderWriters) {
   writer.join();
 }
 
+// The probe counters a lookup moves, with the per-level arrays padded to a
+// common depth so two deltas compare element by element.
+struct ProbeCounts {
+  uint64_t gets = 0;
+  uint64_t runs_probed = 0;
+  uint64_t false_positives = 0;
+  uint64_t filter_negatives = 0;
+  uint64_t gets_not_found = 0;
+  std::vector<uint64_t> runs_probed_per_level;
+  std::vector<uint64_t> false_positives_per_level;
+  std::vector<uint64_t> filter_negatives_per_level;
+
+  bool operator==(const ProbeCounts&) const = default;
+};
+
+std::vector<uint64_t> Padded(std::vector<uint64_t> v) {
+  v.resize(16, 0);
+  return v;
+}
+
+ProbeCounts CountsOf(const DbStats& s) {
+  return ProbeCounts{s.gets,
+                     s.runs_probed,
+                     s.false_positives,
+                     s.filter_negatives,
+                     s.gets_not_found,
+                     Padded(s.runs_probed_per_level),
+                     Padded(s.false_positives_per_level),
+                     Padded(s.filter_negatives_per_level)};
+}
+
+ProbeCounts Delta(const ProbeCounts& after, const ProbeCounts& before) {
+  auto sub = [](const std::vector<uint64_t>& a,
+                const std::vector<uint64_t>& b) {
+    std::vector<uint64_t> d(a.size());
+    for (size_t i = 0; i < a.size(); i++) d[i] = a[i] - b[i];
+    return d;
+  };
+  return ProbeCounts{after.gets - before.gets,
+                     after.runs_probed - before.runs_probed,
+                     after.false_positives - before.false_positives,
+                     after.filter_negatives - before.filter_negatives,
+                     after.gets_not_found - before.gets_not_found,
+                     sub(after.runs_probed_per_level,
+                         before.runs_probed_per_level),
+                     sub(after.false_positives_per_level,
+                         before.false_positives_per_level),
+                     sub(after.filter_negatives_per_level,
+                         before.filter_negatives_per_level)};
+}
+
+std::string Describe(const ProbeCounts& c) {
+  std::string out = "gets=" + std::to_string(c.gets) +
+                    " runs_probed=" + std::to_string(c.runs_probed) +
+                    " false_positives=" + std::to_string(c.false_positives) +
+                    " filter_negatives=" + std::to_string(c.filter_negatives) +
+                    " gets_not_found=" + std::to_string(c.gets_not_found);
+  for (size_t l = 0; l < c.runs_probed_per_level.size(); l++) {
+    if (c.runs_probed_per_level[l] + c.false_positives_per_level[l] +
+            c.filter_negatives_per_level[l] ==
+        0) {
+      continue;
+    }
+    out += " L" + std::to_string(l + 1) + "{" +
+           std::to_string(c.runs_probed_per_level[l]) + "," +
+           std::to_string(c.false_positives_per_level[l]) + "," +
+           std::to_string(c.filter_negatives_per_level[l]) + "}";
+  }
+  return out;
+}
+
+// One MultiGet over keys must return what a loop of Gets returns and move
+// every probe counter, level by level, exactly as that loop does.
+void ExpectMultiGetMatchesGetLoop(DB* db, const ReadOptions& ro,
+                                  const std::vector<std::string>& storage) {
+  const std::vector<Slice> keys(storage.begin(), storage.end());
+  const ProbeCounts before = CountsOf(db->GetStats());
+  std::vector<std::string> values;
+  const std::vector<Status> statuses = db->MultiGet(ro, keys, &values);
+  const ProbeCounts after_multiget = CountsOf(db->GetStats());
+  ASSERT_EQ(statuses.size(), keys.size());
+  ASSERT_EQ(values.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    std::string expected;
+    const Status s = db->Get(ro, keys[i], &expected);
+    EXPECT_EQ(statuses[i].code(), s.code()) << storage[i];
+    if (s.ok()) {
+      EXPECT_EQ(values[i], expected) << storage[i];
+    }
+  }
+  const ProbeCounts after_loop = CountsOf(db->GetStats());
+  const ProbeCounts multiget = Delta(after_multiget, before);
+  const ProbeCounts loop = Delta(after_loop, after_multiget);
+  EXPECT_EQ(multiget, loop) << "MultiGet: " << Describe(multiget)
+                            << "\nGet loop: " << Describe(loop);
+}
+
 TEST(MultiGet, MatchesGetLoop) {
   for (MergePolicy policy :
        {MergePolicy::kLeveling, MergePolicy::kTiering,
@@ -339,22 +437,164 @@ TEST(MultiGet, MatchesGetLoop) {
         storage.push_back(buf);
       }
       storage.push_back(storage.front());  // Duplicate key in one batch.
-      std::vector<Slice> keys(storage.begin(), storage.end());
-
-      std::vector<std::string> values;
-      std::vector<Status> statuses = t.db->MultiGet(ro, keys, &values);
-      ASSERT_EQ(statuses.size(), keys.size());
-      ASSERT_EQ(values.size(), keys.size());
-      for (size_t i = 0; i < keys.size(); i++) {
-        std::string expected;
-        const Status s = t.db->Get(ro, keys[i], &expected);
-        EXPECT_EQ(statuses[i].ok(), s.ok()) << storage[i];
-        EXPECT_EQ(statuses[i].IsNotFound(), s.IsNotFound()) << storage[i];
-        if (s.ok()) EXPECT_EQ(values[i], expected) << storage[i];
-      }
+      ExpectMultiGetMatchesGetLoop(t.db.get(), ro, storage);
     }
     EXPECT_EQ(t.db->GetStats().multigets, 20u);
   }
+}
+
+std::string KeyOf(int i) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "key%06d", i);
+  return buf;
+}
+
+// Tombstones in a shallow run hide live values in the deepest one: a probe
+// must stop at the tombstone, in MultiGet exactly as in Get.
+TEST(MultiGet, MatchesGetLoopOverShallowTombstones) {
+  for (MergePolicy policy :
+       {MergePolicy::kLeveling, MergePolicy::kTiering,
+        MergePolicy::kLazyLeveling}) {
+    TestDb t = OpenDb(policy, 6000);
+    ASSERT_TRUE(t.db->CompactAll().ok());  // Every value in one deep run.
+    WriteOptions wo;
+    for (int i = 0; i < 6000; i += 3) {
+      const std::string key = KeyOf(i);
+      ASSERT_TRUE(t.db->Delete(wo, key).ok());
+    }
+    for (int i = 1; i < 6000; i += 7) {
+      const std::string key = KeyOf(i);
+      ASSERT_TRUE(t.db->Put(wo, key, "newer").ok());
+    }
+    ASSERT_TRUE(t.db->Flush().ok());
+    ASSERT_GE(t.db->GetStats().total_runs, 2u);
+
+    Random rng(17);
+    for (int batch = 0; batch < 10; batch++) {
+      std::vector<std::string> storage;
+      for (int i = 0; i < 24; i++) {
+        storage.push_back(KeyOf(static_cast<int>(rng.Uniform(7000))));
+      }
+      ExpectMultiGetMatchesGetLoop(t.db.get(), ReadOptions(), storage);
+    }
+    const std::vector<std::string> named = {KeyOf(3), KeyOf(1), KeyOf(2)};
+    std::string value;
+    EXPECT_TRUE(t.db->Get(ReadOptions(), named[0], &value).IsNotFound());
+    std::vector<std::string> values;
+    const std::vector<Status> statuses = t.db->MultiGet(
+        ReadOptions(), {named[0], named[1], named[2]}, &values);
+    EXPECT_TRUE(statuses[0].IsNotFound());
+    EXPECT_TRUE(statuses[1].ok());
+    EXPECT_EQ(values[1], "newer");
+    EXPECT_TRUE(statuses[2].ok());
+    EXPECT_EQ(values[2], "v2");
+  }
+}
+
+// Separated values are stored as handles in the tree; MultiGet must
+// resolve them through the value log just as Get does.
+TEST(MultiGet, MatchesGetLoopWithValueSeparation) {
+  auto env = NewMemEnv();
+  BlockCache cache(128 << 10);
+  DbOptions options;
+  options.env = env.get();
+  options.buffer_size_bytes = 16 << 10;
+  options.block_cache = &cache;
+  options.value_separation_threshold = 64;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  WriteOptions wo;
+  for (int i = 0; i < 3000; i++) {
+    // Every other value is long enough to be separated.
+    const std::string value =
+        (i % 2 == 0 ? std::string(100, 'a' + i % 26) : "s") +
+        std::to_string(i);
+    const std::string key = KeyOf(i);
+    ASSERT_TRUE(db->Put(wo, key, value).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_GT(db->GetStats().value_log_writes, 0u);
+
+  Random rng(23);
+  for (int batch = 0; batch < 10; batch++) {
+    std::vector<std::string> storage;
+    for (int i = 0; i < 16; i++) {
+      storage.push_back(KeyOf(static_cast<int>(rng.Uniform(3500))));
+    }
+    ExpectMultiGetMatchesGetLoop(db.get(), ReadOptions(), storage);
+  }
+  const std::vector<std::string> named = {KeyOf(10), KeyOf(11)};
+  std::vector<std::string> values;
+  const std::vector<Status> statuses =
+      db->MultiGet(ReadOptions(), {named[0], named[1]}, &values);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_EQ(values[0], std::string(100, 'a' + 10) + "10");
+  ASSERT_TRUE(statuses[1].ok());
+  EXPECT_EQ(values[1], "s11");
+}
+
+// Neighbouring keys share a data block: the block is fetched once and
+// every key resolves against it.
+TEST(MultiGet, MatchesGetLoopForKeysSharingABlock) {
+  TestDb t = OpenDb(MergePolicy::kLeveling, 8000);
+  ASSERT_TRUE(t.db->CompactAll().ok());
+  for (int start : {0, 1234, 4000, 7990}) {
+    std::vector<std::string> storage;
+    for (int i = start; i < start + 20; i++) storage.push_back(KeyOf(i));
+    ExpectMultiGetMatchesGetLoop(t.db.get(), ReadOptions(), storage);
+  }
+}
+
+// With reads failing, a key fails iff it needed a block that is not
+// cached; keys whose blocks are cached, and keys the filters rule out,
+// still resolve.
+TEST(MultiGet, FailedBlockReadFailsExactlyItsKeys) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  BlockCache cache(1 << 20);
+  DbOptions options;
+  options.env = &env;
+  options.buffer_size_bytes = 16 << 10;
+  options.bits_per_entry = 10.0;
+  options.block_cache = &cache;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  WriteOptions wo;
+  for (int i = 0; i < 4000; i++) {
+    const std::string key = KeyOf(i);
+    const std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(db->Put(wo, key, value).ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+
+  // Warm the block holding the first keys; leave the rest uncached.
+  std::string value;
+  const std::string warm = KeyOf(1);
+  ASSERT_TRUE(db->Get(ReadOptions(), warm, &value).ok());
+
+  env.SetReadFaults(true);
+  const std::vector<std::string> cached_keys = {KeyOf(0), KeyOf(1), KeyOf(2)};
+  const std::vector<std::string> uncached_keys = {KeyOf(2000), KeyOf(2001),
+                                                  KeyOf(2002)};
+  std::vector<std::string> storage = cached_keys;
+  storage.insert(storage.end(), uncached_keys.begin(), uncached_keys.end());
+  for (int i = 0; i < 8; i++) storage.push_back("absent" + std::to_string(i));
+  const std::vector<Slice> keys(storage.begin(), storage.end());
+  std::vector<std::string> values;
+  const std::vector<Status> statuses =
+      db->MultiGet(ReadOptions(), keys, &values);
+  for (size_t i = 0; i < cached_keys.size(); i++) {
+    EXPECT_TRUE(statuses[i].ok()) << storage[i];
+  }
+  for (size_t i = cached_keys.size(); i < 6; i++) {
+    EXPECT_TRUE(statuses[i].IsIoError()) << storage[i];
+  }
+  for (size_t i = 0; i < keys.size(); i++) {
+    const Status s = db->Get(ReadOptions(), keys[i], &value);
+    EXPECT_EQ(statuses[i].code(), s.code()) << storage[i];
+  }
+  env.ResetFaults();
+  EXPECT_TRUE(db->Get(ReadOptions(), keys[4], &value).ok());
 }
 
 TEST(MultiGet, EmptyBatch) {
