@@ -106,11 +106,16 @@ TEST(Concurrency, ReadersConcurrentWithWriter) {
 
 // Same reader/writer pattern as above, but with the background flush
 // pipeline switched on: readers must stay consistent while memtables
-// freeze and the worker merges runs underneath them.
-TEST(Concurrency, ReadersUnderBackgroundCompactionChurn) {
+// freeze and the worker merges runs underneath them. Every merge policy
+// runs it, so each one's flush-priority yield and the worker's resume of
+// an abandoned cascade are exercised.
+class BackgroundChurn : public ::testing::TestWithParam<MergePolicy> {};
+
+TEST_P(BackgroundChurn, ReadersUnderBackgroundCompactionChurn) {
   auto env = NewMemEnv();
   DbOptions options;
   options.env = env.get();
+  options.merge_policy = GetParam();
   options.buffer_size_bytes = 8 << 10;
   options.background_compaction = true;
   options.max_immutable_memtables = 2;
@@ -155,7 +160,49 @@ TEST(Concurrency, ReadersUnderBackgroundCompactionChurn) {
   const DbStats stats = db->GetStats();
   EXPECT_EQ(stats.memtable_entries, 0u);
   EXPECT_EQ(stats.total_disk_entries, 25000u);
+
+  // The drained tree satisfies the policy's structural invariant (as in
+  // DbTest.StructuralInvariants): leveling keeps one run per level (the
+  // default single compaction thread never splits a merge), tiering fewer
+  // than T runs, and lazy leveling fewer than T above one largest run.
+  const auto trigger = static_cast<uint64_t>(options.size_ratio);
+  EXPECT_GE(stats.deepest_level, 2);
+  for (size_t level = 0; level < stats.runs_per_level.size(); level++) {
+    const uint64_t runs = stats.runs_per_level[level];
+    const bool largest = static_cast<int>(level) + 1 == stats.deepest_level;
+    switch (GetParam()) {
+      case MergePolicy::kLeveling:
+        EXPECT_LE(runs, 1u) << "level " << level + 1;
+        break;
+      case MergePolicy::kTiering:
+        EXPECT_LT(runs, trigger) << "level " << level + 1;
+        break;
+      case MergePolicy::kLazyLeveling:
+        if (largest) {
+          EXPECT_EQ(runs, 1u) << "largest level " << level + 1;
+        } else {
+          EXPECT_LT(runs, trigger) << "level " << level + 1;
+        }
+        break;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, BackgroundChurn,
+    ::testing::Values(MergePolicy::kLeveling, MergePolicy::kTiering,
+                      MergePolicy::kLazyLeveling),
+    [](const ::testing::TestParamInfo<MergePolicy>& info) {
+      switch (info.param) {
+        case MergePolicy::kLeveling:
+          return "Leveling";
+        case MergePolicy::kTiering:
+          return "Tiering";
+        case MergePolicy::kLazyLeveling:
+          return "LazyLeveling";
+      }
+      return "Unknown";
+    });
 
 TEST(Concurrency, SnapshotReadersDuringChurn) {
   auto env = NewMemEnv();
