@@ -43,11 +43,12 @@ int DumpManifest(Env* env, const std::string& path) {
     printf("edit %d: last_seq=%llu next_file=%llu\n", edit_index++,
            static_cast<unsigned long long>(edit.last_sequence),
            static_cast<unsigned long long>(edit.next_file_number));
-    for (const auto& run : edit.added) {
+    for (const auto& added : edit.added) {
       printf("  + level %d file %06llu (%llu entries, %llu bytes)\n",
-             run.level, static_cast<unsigned long long>(run.file_number),
-             static_cast<unsigned long long>(run.num_entries),
-             static_cast<unsigned long long>(run.file_size));
+             added.level,
+             static_cast<unsigned long long>(added.run->file_number),
+             static_cast<unsigned long long>(added.run->num_entries),
+             static_cast<unsigned long long>(added.run->file_size));
     }
     for (uint64_t fn : edit.deleted_files) {
       printf("  - file %06llu\n", static_cast<unsigned long long>(fn));

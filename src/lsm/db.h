@@ -321,9 +321,10 @@ class DB {
   // release and reacquire mu_.
   Status SwitchMemTable() REQUIRES(mu_);
 
-  // Flushes `mem` to Level 1 per the merge policy. Callers run Cascade()
+  // Flushes `mem` to Level 1: leveling merges it with the Level-1 run,
+  // tiering and lazy leveling add it as a new run. Callers run Cascade()
   // afterwards — separately, so the background worker can retire the frozen
-  // memtable from imm_ first and the cascades' flush-priority early-exit
+  // memtable from imm_ first and the cascade's flush-priority early-exit
   // (yield when a frozen memtable is waiting) sees only *other* pending
   // flushes. If swap_active, the active memtable is replaced with a fresh
   // one once its Level-1 run is built (synchronous mode); background mode
@@ -348,22 +349,33 @@ class DB {
   // through all the I/O — synchronous mode.
   Status FlushActiveMemTableLocked() REQUIRES(mu_);
 
-  // The cascades restore every level's invariant (scanning all levels, not
-  // just a chain from Level 1 — a background worker may resume a cascade it
-  // abandoned earlier to prioritize a flush). With io_unlock they
-  // early-exit between merge steps whenever a frozen memtable is waiting;
-  // BackgroundMain re-dispatches via CascadePendingLocked.
-  Status CascadeLeveling(bool io_unlock) REQUIRES(mu_);
-  Status CascadeTiering(bool io_unlock) REQUIRES(mu_);
-  Status CascadeLazyLeveling(bool io_unlock) REQUIRES(mu_);
+  // The per-level merge rule (DESIGN.md §5). A leveled level holds one
+  // run (run cap 1) of at most B·P·T^i entries and absorbs what merges
+  // into it; any other level holds up to T-1 runs and takes each merge as
+  // a new run. Leveling levels every level, tiering none, lazy leveling
+  // the largest level and the empty ones past it.
+  bool LeveledLocked(int level) const REQUIRES(mu_);
+  // Runs at `level`, counting a leveling merge's fragments as one.
+  size_t LogicalRunsLocked(int level) const REQUIRES(mu_);
+  // True iff `level` breaks its rule: more runs than its cap, or, if
+  // leveled and B·P is known, more entries than its capacity.
+  bool OverflowingLocked(int level) const REQUIRES(mu_);
 
-  // Dispatches to the configured policy's cascade (released around run
-  // builds when io_unlock is set).
+  // Merges the shallowest overflowing level until none overflows. Every
+  // level is scanned, not just a chain from Level 1: a background worker
+  // may resume a cascade it abandoned to prioritize a flush. With
+  // io_unlock, mu_ is released around run builds and the cascade returns
+  // between merge steps whenever a frozen memtable is waiting;
+  // BackgroundMain comes back via CascadePendingLocked.
   Status Cascade(bool io_unlock) REQUIRES(mu_);
 
-  // True iff some level violates its merge-policy invariant, i.e. the
-  // cascade for the configured policy would do work. Must match the
-  // cascades' stop conditions exactly or the worker would spin (or stall).
+  // One step of the cascade for an overflowing level: a leveled level over
+  // its run cap collapses in place; otherwise its runs go to the next
+  // level, absorbing the runs there if that level is leveled, and moving
+  // by metadata alone when they are one run and that level is empty.
+  Status MergeLevel(int level, bool io_unlock) REQUIRES(mu_);
+
+  // True iff some level overflows, i.e. Cascade would do work.
   bool CascadePendingLocked() const REQUIRES(mu_);
 
   // Captures the post-compaction tree geometry, resolves the FPR for the
@@ -411,8 +423,9 @@ class DB {
   // superseded entries can be dropped.
   bool CanDropTombstones(int output_level) const REQUIRES(mu_);
 
-  // Appends edit to the manifest, applies it to current_, and publishes a
-  // new ReadView. Files the edit retires are queued on obsolete_files_ for
+  // Appends edit to the manifest, applies it to current_ (Version::Apply,
+  // the only way the tree changes), and publishes a new ReadView. Files
+  // the edit retires are queued on obsolete_files_ for
   // DrainObsoleteFilesLocked — never unlinked here, where mu_ is held.
   Status LogAndApply(const VersionEdit& edit) REQUIRES(mu_);
 
@@ -497,7 +510,9 @@ class DB {
   uint64_t wal_number_ GUARDED_BY(mu_) = 0;
   // Files retired from every published view, awaiting unlink outside mu_.
   std::vector<std::string> obsolete_files_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> buffer_entries_{0};  // B·P: set from first flush.
+  // B·P: the entry count of the first memtable to fill its buffer in this
+  // incarnation (0 until then; capacity rules wait for it).
+  std::atomic<uint64_t> buffer_entries_{0};
 
   // Master tree state, mutated only under mu_ by the thread performing
   // structural work (in background mode, only the worker or a drained

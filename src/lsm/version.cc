@@ -1,5 +1,7 @@
 #include "lsm/version.h"
 
+#include <algorithm>
+
 #include "util/coding.h"
 
 namespace monkeydb {
@@ -41,6 +43,32 @@ uint64_t Version::TotalFilterBits() const {
   return total;
 }
 
+void Version::Apply(const VersionEdit& edit) {
+  for (uint64_t fn : edit.deleted_files) {
+    for (auto& level : levels_) {
+      level.erase(std::remove_if(level.begin(), level.end(),
+                                 [fn](const RunPtr& r) {
+                                   return r->file_number == fn;
+                                 }),
+                  level.end());
+    }
+  }
+  // Inserting back to front keeps each level's added runs in edit order.
+  for (auto it = edit.added.rbegin(); it != edit.added.rend(); ++it) {
+    EnsureLevel(it->level);
+    auto& runs = levels_[it->level - 1];
+    runs.insert(runs.begin(), it->run);
+  }
+}
+
+VersionEdit Version::Snapshot() const {
+  VersionEdit edit;
+  for (int level = 1; level <= NumLevels(); level++) {
+    for (const RunPtr& run : RunsAt(level)) edit.AddRun(level, run);
+  }
+  return edit;
+}
+
 uint64_t ReadView::MemEntries() const {
   uint64_t total = 0;
   for (const auto& m : memtables) total += m->num_entries();
@@ -56,9 +84,10 @@ constexpr uint32_t kTagNextFileNumber = 4;
 }  // namespace
 
 void VersionEdit::EncodeTo(std::string* dst) const {
-  for (const AddedRun& run : added) {
+  for (const AddedRun& added_run : added) {
+    const RunMetadata& run = *added_run.run;
     PutVarint32(dst, kTagAddedRun);
-    PutVarint32(dst, static_cast<uint32_t>(run.level));
+    PutVarint32(dst, static_cast<uint32_t>(added_run.level));
     PutVarint64(dst, run.file_number);
     PutVarint64(dst, run.file_size);
     PutVarint64(dst, run.num_entries);
@@ -84,22 +113,21 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
   while (GetVarint32(&input, &tag)) {
     switch (tag) {
       case kTagAddedRun: {
-        AddedRun run;
+        auto run = std::make_shared<RunMetadata>();
         uint32_t level;
         Slice smallest, largest;
         if (!GetVarint32(&input, &level) ||
-            !GetVarint64(&input, &run.file_number) ||
-            !GetVarint64(&input, &run.file_size) ||
-            !GetVarint64(&input, &run.num_entries) ||
-            !GetVarint64(&input, &run.sequence) ||
+            !GetVarint64(&input, &run->file_number) ||
+            !GetVarint64(&input, &run->file_size) ||
+            !GetVarint64(&input, &run->num_entries) ||
+            !GetVarint64(&input, &run->sequence) ||
             !GetLengthPrefixedSlice(&input, &smallest) ||
-            !GetLengthPrefixedSlice(&input, &largest)) {
+            !GetLengthPrefixedSlice(&input, &largest) || level < 1) {
           return Status::Corruption("bad AddedRun record");
         }
-        run.level = static_cast<int>(level);
-        run.smallest = smallest.ToString();
-        run.largest = largest.ToString();
-        added.push_back(std::move(run));
+        run->smallest = smallest.ToString();
+        run->largest = largest.ToString();
+        AddRun(static_cast<int>(level), std::move(run));
         break;
       }
       case kTagDeletedFile: {
