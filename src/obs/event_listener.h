@@ -24,7 +24,7 @@ namespace monkeydb {
 struct FlushJobInfo {
   uint64_t entries = 0;         // Entries in the flushed memtable.
   uint64_t micros = 0;          // Wall time (end event only).
-  bool triggered_merge = false; // Leveling merged the flush into level 0.
+  bool triggered_merge = false; // Leveling merged it into the L1 run.
   bool ok = true;               // End event only.
 };
 
