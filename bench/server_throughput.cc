@@ -6,10 +6,10 @@
 //  - Pipelining: at depth 16 the executor coalesces reads into MultiGet
 //    batches and writes into group-committed WriteBatches, so engine
 //    calls per command collapse well under the 0.2 acceptance bound.
-//  - Sharding: server_shards independent DBs behind SO_REUSEPORT scale
-//    closed-loop throughput with cores. The JSON reports
-//    hardware_threads so single-core CI results are read honestly —
-//    shard scaling needs >= 4 cores to show its >= 2.5x.
+//  - Loop scaling: server_threads event loops over the one DB serve
+//    connections in parallel, at depth 1 and at depth 16. The JSON
+//    reports hardware_threads so single-core CI results are read
+//    honestly — loop scaling needs >= 4 cores to show.
 //
 // Results land in BENCH_server.json. Pass --smoke for the CI-sized run.
 
@@ -35,8 +35,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Workload shapes. kGet pipelines coalesce into one MultiGet per shard
-// per batch — this is the arm the 0.2 engine-calls/command acceptance
+// Workload shapes. kGet pipelines coalesce into one MultiGet per batch — this is the arm the 0.2 engine-calls/command acceptance
 // bound is measured on. kMixed alternates GET/SET randomly, so batches
 // split at every read/write class boundary (expected run length ~2;
 // the split preserves read-your-own-writes ordering) — kept as the
@@ -44,7 +43,7 @@ using Clock = std::chrono::steady_clock;
 enum class Workload { kGet, kMixed };
 
 struct RunResult {
-  int shards = 0;
+  int threads = 0;
   int connections = 0;
   int depth = 0;
   Workload workload = Workload::kGet;
@@ -62,11 +61,11 @@ struct OpenLoopResult {
   HistogramData pipeline_depth;
 };
 
-std::unique_ptr<MonkeyServer> StartServer(Env* env, int shards,
+std::unique_ptr<MonkeyServer> StartServer(Env* env, int threads,
                                           const std::string& dir) {
   ServerOptions opts;
   opts.server_port = 0;
-  opts.server_shards = shards;
+  opts.server_threads = threads;
   opts.db_options.env = env;
   std::unique_ptr<MonkeyServer> server;
   Status s = MonkeyServer::Start(opts, dir, &server);
@@ -114,10 +113,10 @@ void ClosedLoopWorker(int port, int depth, int keyspace, int seed,
   }
 }
 
-RunResult ClosedLoop(Env* env, const std::string& dir, int shards,
+RunResult ClosedLoop(Env* env, const std::string& dir, int threads,
                      int connections, int depth, int keyspace,
                      Workload workload, double seconds) {
-  auto server = StartServer(env, shards, dir);
+  auto server = StartServer(env, threads, dir);
   // Preload so GETs hit.
   {
     RespClient client;
@@ -153,7 +152,7 @@ RunResult ClosedLoop(Env* env, const std::string& dir, int shards,
       std::chrono::duration<double>(Clock::now() - start).count();
 
   RunResult result;
-  result.shards = shards;
+  result.threads = threads;
   result.connections = connections;
   result.depth = depth;
   result.workload = workload;
@@ -267,9 +266,9 @@ const char* WorkloadName(Workload w) {
 }
 
 void PrintRun(const RunResult& r) {
-  printf("  %-5s shards=%d conns=%-2d depth=%-3d  %9.0f ops/s  "
+  printf("  %-5s threads=%d conns=%-2d depth=%-3d  %9.0f ops/s  "
          "%8llu cmds  %.4f engine calls/cmd\n",
-         WorkloadName(r.workload), r.shards, r.connections, r.depth,
+         WorkloadName(r.workload), r.threads, r.connections, r.depth,
          r.ops_per_sec, static_cast<unsigned long long>(r.commands),
          r.engine_calls_per_command);
 }
@@ -293,7 +292,7 @@ int main(int argc, char** argv) {
   printf("server_throughput: %u hardware thread(s)%s\n\n", hw_threads,
          smoke ? " [smoke]" : "");
   if (hw_threads < 4) {
-    printf("NOTE: fewer than 4 hardware threads — shard scaling numbers\n"
+    printf("NOTE: fewer than 4 hardware threads — loop scaling numbers\n"
            "below are contention-bound, not the >= 2.5x a 4-core host\n"
            "shows. engine-calls-per-command is hardware-independent.\n\n");
   }
@@ -303,40 +302,47 @@ int main(int argc, char** argv) {
   printf("closed loop:\n");
   std::vector<RunResult> closed;
   int run_id = 0;
-  auto run = [&](int shards, int depth, Workload w) {
+  auto run = [&](int threads, int depth, Workload w) {
     const std::string dir = "/bench-" + std::to_string(run_id++);
-    closed.push_back(ClosedLoop(env.get(), dir, shards, conns, depth,
+    closed.push_back(ClosedLoop(env.get(), dir, threads, conns, depth,
                                 keyspace, w, run_seconds));
     PrintRun(closed.back());
   };
+  constexpr int kLoops = 4;
   run(1, 1, Workload::kGet);
   run(1, 16, Workload::kGet);
-  run(4, 16, Workload::kGet);
+  run(kLoops, 1, Workload::kGet);
+  run(kLoops, 16, Workload::kGet);
   run(1, 16, Workload::kMixed);  // Class boundaries split batches.
 
   // The pipelining acceptance metric, measured not asserted-by-hand:
-  // a depth-16 GET pipeline must come in under 0.2 engine calls per
-  // command (one MultiGet per shard per batch).
-  double depth16_calls_per_cmd = 1.0;
-  double depth1_ops = 0, depth16_ops = 0;
-  double shard1_ops = 0, shard4_ops = 0;
-  for (const RunResult& r : closed) {
-    if (r.workload != Workload::kGet) continue;
-    if (r.shards == 1 && r.depth == 16) {
-      depth16_calls_per_cmd = r.engine_calls_per_command;
-      depth16_ops = r.ops_per_sec;
-      shard1_ops = r.ops_per_sec;
+  // every depth-16 GET pipeline must come in under 0.2 engine calls per
+  // command (one MultiGet per batch: 0.0625).
+  double depth16_calls_per_cmd = 0;
+  auto ops = [&](int threads, int depth) {
+    for (const RunResult& r : closed) {
+      if (r.workload == Workload::kGet && r.threads == threads &&
+          r.depth == depth) {
+        return r.ops_per_sec;
+      }
     }
-    if (r.shards == 1 && r.depth == 1) depth1_ops = r.ops_per_sec;
-    if (r.shards == 4 && r.depth == 16) shard4_ops = r.ops_per_sec;
+    return 0.0;
+  };
+  for (const RunResult& r : closed) {
+    if (r.workload == Workload::kGet && r.depth == 16) {
+      depth16_calls_per_cmd =
+          std::max(depth16_calls_per_cmd, r.engine_calls_per_command);
+    }
   }
+  auto ratio = [](double num, double den) { return den > 0 ? num / den : 0; };
+  const double loops_depth1 = ratio(ops(kLoops, 1), ops(1, 1));
+  const double loops_depth16 = ratio(ops(kLoops, 16), ops(1, 16));
   printf("\npipelining: depth 16 vs 1 = %.2fx throughput, "
          "%.4f engine calls/cmd (bound: 0.2)\n",
-         depth1_ops > 0 ? depth16_ops / depth1_ops : 0,
-         depth16_calls_per_cmd);
-  printf("sharding:   4 vs 1 shards at depth 16 = %.2fx "
-         "(meaningful on >= 4 cores only)\n\n",
-         shard1_ops > 0 ? shard4_ops / shard1_ops : 0);
+         ratio(ops(1, 16), ops(1, 1)), depth16_calls_per_cmd);
+  printf("loop scaling: %d vs 1 loops = %.2fx at depth 1, %.2fx at "
+         "depth 16 (meaningful on >= 4 cores only)\n\n",
+         kLoops, loops_depth1, loops_depth16);
 
   printf("open loop (GET-only, fixed offered rate):\n");
   const double rate = smoke ? 2000 : 20000;
@@ -355,7 +361,7 @@ int main(int argc, char** argv) {
     for (const RunResult& r : closed) {
       w.BeginObject();
       w.Field("workload", WorkloadName(r.workload));
-      w.Field("shards", r.shards);
+      w.Field("threads", r.threads);
       w.Field("connections", r.connections);
       w.Field("depth", r.depth);
       w.Field("ops_per_sec", r.ops_per_sec);
@@ -370,10 +376,10 @@ int main(int argc, char** argv) {
     w.Field("bound", 0.2);
     w.Field("pass", depth16_calls_per_cmd <= 0.2);
     w.EndObject();
-    w.BeginObject("shard_scaling");
-    w.Field("speedup_4v1_depth16",
-            shard1_ops > 0 ? shard4_ops / shard1_ops : 0.0);
-    w.Field("target_on_4_cores", 2.5);
+    w.BeginObject("loop_scaling");
+    w.Field("loops", kLoops);
+    w.Field("speedup_depth1", loops_depth1);
+    w.Field("speedup_depth16", loops_depth16);
     w.EndObject();
     w.BeginObject("open_loop");
     w.Field("offered_rate", open.offered_rate);

@@ -198,21 +198,20 @@ struct WriteOptions {
 // layered strictly on top of the DB API — none of these knobs affects an
 // embedded DB, and DbOptions defaults are untouched.
 struct ServerOptions {
-  // Address/port the listener set binds. Port 0 binds an ephemeral port
+  // Address/port the listener binds. Port 0 binds an ephemeral port
   // (MonkeyServer::port() reports the one actually bound — tests use it).
   std::string server_bind = "127.0.0.1";
   int server_port = 6380;
 
-  // Number of independent DB instances the keyspace is hash-partitioned
-  // across. Each shard owns its own event-loop thread and its own
-  // SO_REUSEPORT listener on server_port (the kernel spreads incoming
-  // connections across them), so shards share no engine state at all:
-  // separate memtables, WALs, compaction workers, block caches. Commands
-  // route per key (XxHash64 % shards); MGET/MSET/DEL spanning shards are
-  // split per shard and reassembled in request order. Must be >= 1.
-  int server_shards = 1;
+  // Event-loop threads serving connections over the one DB (0 = one per
+  // hardware thread). Loop 0 owns the listener and hands each accepted
+  // connection to the loop with the fewest connections; a connection
+  // then lives its whole life on that loop, so per-connection ordering
+  // holds while different connections run their commands in parallel
+  // against the thread-safe engine. Must be >= 0.
+  int server_threads = 0;
 
-  // listen(2) backlog per shard listener.
+  // listen(2) backlog of the listener.
   int server_backlog = 511;
 
   // Disable Nagle on accepted sockets; pipelined request/response traffic
@@ -264,17 +263,16 @@ struct ServerOptions {
   // Maintain the server's own MetricsRegistry: per-command latency
   // summaries (server_get/set/del/mget/mset/scan_latency_us), the
   // pipeline-depth histogram, and connection/protocol/backpressure
-  // counters. Independent of db_options.enable_metrics (the per-shard
-  // engine registries). On by default — observability is the point of a
+  // counters. Independent of db_options.enable_metrics (the engine's
+  // own registry). On by default — observability is the point of a
   // server; turn it off to shave the clock reads.
   bool server_enable_metrics = true;
 
-  // Template DbOptions every shard DB is opened with (shard i lives in
-  // <data_dir>/shard-<i>). env must be null or a thread-safe Env shared
-  // by all shards (tests pass one MemEnv); when null each shard builds
-  // and owns its own backend per io_backend/use_direct_io, so io_uring
-  // rings are per shard. enable_metrics here governs the engine
-  // histograms that /metrics exports per shard.
+  // DbOptions the server's DB is opened with (it lives in
+  // <data_dir>/shard-0, the path single-shard servers used). env must be
+  // null or a thread-safe Env (tests pass a MemEnv); when null the DB
+  // builds and owns its backend per io_backend/use_direct_io.
+  // enable_metrics here governs the engine histograms /metrics exports.
   DbOptions db_options;
 };
 

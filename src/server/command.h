@@ -1,7 +1,7 @@
 // The RESP command table: name -> dispatch metadata. The executor
 // (server.cc) groups consecutive commands of one class per connection per
-// tick — reads coalesce into one DB::MultiGet per shard, writes into one
-// WriteBatch per shard — so classification lives here, next to the names.
+// tick — reads coalesce into one DB::MultiGet, writes into one
+// WriteBatch — so classification lives here, next to the names.
 
 #ifndef MONKEYDB_SERVER_COMMAND_H_
 #define MONKEYDB_SERVER_COMMAND_H_
@@ -15,7 +15,7 @@ enum class CommandId {
   kGet,
   kMGet,
   kExists,
-  // Write class (batched into one WriteBatch per shard).
+  // Write class (batched into one WriteBatch).
   kSet,
   kMSet,
   kDel,

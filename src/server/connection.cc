@@ -16,7 +16,6 @@ namespace monkeydb {
 namespace {
 // Per-tick read cap: a firehose client cannot starve its loop siblings.
 constexpr size_t kMaxReadPerTick = 1u << 20;
-constexpr size_t kReadChunk = 64u << 10;
 }  // namespace
 
 Connection::Connection(int fd, EventLoop* loop, MonkeyServer* server)
@@ -34,17 +33,18 @@ const ServerOptions& Connection::opts() const { return server_->options(); }
 MetricsRegistry* Connection::metrics() const { return server_->metrics(); }
 
 bool Connection::OnReadable() {
+  // recv into the loop's buffer and append what arrived: growing in_ by
+  // a whole chunk first would zero-fill it on every call, including the
+  // final one that only returns EAGAIN.
+  char* buf = loop_->read_buffer();
   size_t read_this_tick = 0;
   while (read_this_tick < kMaxReadPerTick) {
-    const size_t old = in_.size();
-    in_.resize(old + kReadChunk);
-    const ssize_t n = ::recv(fd_, &in_[old], kReadChunk, 0);
+    const ssize_t n = ::recv(fd_, buf, EventLoop::kReadChunk, 0);
     if (n > 0) {
-      in_.resize(old + static_cast<size_t>(n));
+      in_.append(buf, static_cast<size_t>(n));
       read_this_tick += static_cast<size_t>(n);
       continue;
     }
-    in_.resize(old);
     if (n == 0) {
       peer_eof_ = true;
       break;

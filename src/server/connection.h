@@ -5,8 +5,8 @@
 // Pipelining contract (the serving layer's perf centerpiece): every
 // complete command sitting in the input buffer is parsed in one pass and
 // handed to MonkeyServer::Execute as a single batch, which coalesces
-// consecutive reads into one DB::MultiGet per shard and consecutive
-// writes into one WriteBatch per shard. Replies are appended to the
+// consecutive reads into one DB::MultiGet and consecutive writes into
+// one WriteBatch. Replies are appended to the
 // output buffer in command order, so N pipelined commands cost ~1 engine
 // call and one writev-sized flush instead of N round trips.
 //

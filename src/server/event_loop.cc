@@ -16,11 +16,17 @@
 
 namespace monkeydb {
 
-EventLoop::EventLoop(int index, MonkeyServer* server)
-    : index_(index), server_(server) {}
+EventLoop::EventLoop(MonkeyServer* server)
+    : server_(server), read_buf_(new char[kReadChunk]) {}
 
 EventLoop::~EventLoop() {
   conns_.clear();  // Connections close their fds.
+  {
+    // Handed off but never adopted (the loop stopped first).
+    MutexLock lock(inbox_mu_);
+    for (int fd : inbox_) ::close(fd);
+    inbox_.clear();
+  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -40,10 +46,12 @@ Status EventLoop::Init(int listen_fd) {
   struct epoll_event ev;
   memset(&ev, 0, sizeof(ev));
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
-    return Status::IoError(std::string("epoll_ctl(listener): ") +
-                           strerror(errno));
+  if (listen_fd_ >= 0) {
+    ev.data.fd = listen_fd_;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
+      return Status::IoError(std::string("epoll_ctl(listener): ") +
+                             strerror(errno));
+    }
   }
   ev.data.fd = wake_fd_;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
@@ -68,6 +76,7 @@ void EventLoop::Run() {
         uint64_t drained;
         while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
         }
+        AdoptInbox();
         continue;
       }
       if (fd == listen_fd_) {
@@ -97,11 +106,7 @@ void EventLoop::Run() {
 
 void EventLoop::RequestStop() {
   stop_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    // A full eventfd counter still wakes the loop; ignore short writes.
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
+  Wake();
 }
 
 void EventLoop::UpdateEvents(int fd, uint32_t events) {
@@ -124,21 +129,56 @@ void EventLoop::AcceptNew() {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
-    auto conn = std::make_unique<Connection>(fd, this, server_);
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      continue;  // conn destructor closes the socket.
-    }
-    conns_.emplace(fd, std::move(conn));
-    live_.fetch_add(1, std::memory_order_relaxed);
     if (server_->metrics() != nullptr) {
       server_->metrics()->Tick1(Tick::kServerConnectionsAccepted);
     }
     server_->NoteConnectionAccepted();
+    // Count the connection on its loop now, so the next accept in this
+    // sweep already sees it.
+    EventLoop* target = server_->LeastLoadedLoop();
+    target->connections_.fetch_add(1, std::memory_order_relaxed);
+    if (target == this) {
+      Adopt(fd);
+    } else {
+      target->Handoff(fd);
+    }
   }
+}
+
+void EventLoop::Handoff(int fd) {
+  {
+    MutexLock lock(inbox_mu_);
+    inbox_.push_back(fd);
+  }
+  Wake();
+}
+
+void EventLoop::Wake() {
+  const uint64_t one = 1;
+  // A full eventfd counter still wakes the loop; ignore short writes.
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void EventLoop::AdoptInbox() {
+  std::vector<int> fds;
+  {
+    MutexLock lock(inbox_mu_);
+    fds.swap(inbox_);
+  }
+  for (int fd : fds) Adopt(fd);
+}
+
+void EventLoop::Adopt(int fd) {
+  auto conn = std::make_unique<Connection>(fd, this, server_);
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    connections_.fetch_sub(1, std::memory_order_relaxed);
+    return;  // conn destructor closes the socket.
+  }
+  conns_.emplace(fd, std::move(conn));
 }
 
 void EventLoop::Destroy(int fd) {
@@ -146,7 +186,7 @@ void EventLoop::Destroy(int fd) {
   if (it == conns_.end()) return;
   // close() drops the fd from the epoll set automatically.
   conns_.erase(it);
-  live_.fetch_sub(1, std::memory_order_relaxed);
+  connections_.fetch_sub(1, std::memory_order_relaxed);
   if (server_->metrics() != nullptr) {
     server_->metrics()->Tick1(Tick::kServerConnectionsClosed);
   }

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <set>
 #include <utility>
 
 #include "io/uring_env.h"
@@ -41,9 +40,6 @@ Status CreateListener(const std::string& bind_addr, int port, int backlog,
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  // The whole listener set binds the same port; the kernel load-balances
-  // incoming connections across the per-shard sockets.
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   struct sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -79,41 +75,15 @@ int BoundPort(int fd) {
 
 std::string U64(uint64_t v) { return std::to_string(v); }
 
-// Rewrites one Prometheus sample line to carry a shard label. The label
-// is appended after any existing ones — tools/metrics_lint.py greps for
-// the literal `monkey_predicted_fpr{level="1"}` prefix, which appending
-// preserves:
-//   name{a="b"} v  ->  name{a="b",shard="2"} v
-//   name v         ->  name{shard="2"} v
-std::string AddShardLabel(const std::string& line, int shard) {
-  const std::string label = "shard=\"" + std::to_string(shard) + "\"";
-  const size_t brace = line.find('{');
-  const size_t space = line.find(' ');
-  if (brace != std::string::npos &&
-      (space == std::string::npos || brace < space)) {
-    const size_t close = line.find('}', brace);
-    if (close == std::string::npos) return line;  // Malformed; keep.
-    const bool empty_set = close == brace + 1;
-    return line.substr(0, close) + (empty_set ? "" : ",") + label +
-           line.substr(close);
-  }
-  if (space == std::string::npos) return line;  // Not a sample; keep.
-  return line.substr(0, space) + "{" + label + "}" + line.substr(space);
-}
-
 }  // namespace
 
-MonkeyServer::MonkeyServer(const ServerOptions& options,
-                           std::string data_dir)
-    : opts_(options),
-      data_dir_(std::move(data_dir)),
-      router_(options.server_shards) {}
+MonkeyServer::MonkeyServer(const ServerOptions& options) : opts_(options) {}
 
 Status MonkeyServer::Start(const ServerOptions& options,
                            const std::string& data_dir,
                            std::unique_ptr<MonkeyServer>* out) {
-  if (options.server_shards < 1) {
-    return Status::InvalidArgument("server_shards must be >= 1");
+  if (options.server_threads < 0) {
+    return Status::InvalidArgument("server_threads must be >= 0");
   }
   if (options.server_max_pipeline < 1) {
     return Status::InvalidArgument("server_max_pipeline must be >= 1");
@@ -123,8 +93,18 @@ Status MonkeyServer::Start(const ServerOptions& options,
     return Status::InvalidArgument(
         "server_output_hard_limit_bytes < soft limit");
   }
-  std::unique_ptr<MonkeyServer> server(
-      new MonkeyServer(options, data_dir));
+  Env* dir_env = options.db_options.env != nullptr ? options.db_options.env
+                                                   : GetPosixEnv();
+  // The hash-sharded layout kept shard i in <data_dir>/shard-<i>; serving
+  // only shard-0 of such a tree would hide every other shard's keys.
+  std::vector<std::string> children;
+  if (dir_env->GetChildren(data_dir + "/shard-1", &children).ok() &&
+      !children.empty()) {
+    return Status::InvalidArgument(
+        data_dir + " holds hash-sharded data (shard-1); the server "
+                   "serves one DB");
+  }
+  std::unique_ptr<MonkeyServer> server(new MonkeyServer(options));
   if (options.server_enable_metrics) {
     server->metrics_ = std::make_unique<MetricsRegistry>();
   }
@@ -132,54 +112,30 @@ Status MonkeyServer::Start(const ServerOptions& options,
   // environment override wins (DESIGN.md §14).
   ApplyTraceSampleRateOption(options.trace_sample_rate);
 
-  // Shard DBs first: an accepted connection must always find a live
-  // engine behind every shard index.
-  Env* dir_env = options.db_options.env != nullptr ? options.db_options.env
-                                                   : GetPosixEnv();
-  // Parent directory for the shard trees; fails harmlessly when present.
+  // The DB first: an accepted connection must always find a live engine.
   // monkey-lint: status-sink — an already-existing directory is the
-  // common case; a real create failure surfaces on the shard Open below.
+  // common case; a real create failure surfaces on the Open below.
   dir_env->CreateDir(data_dir).IgnoreError();
-  for (int i = 0; i < options.server_shards; ++i) {
-    std::unique_ptr<DB> db;
-    const std::string shard_dir =
-        data_dir + "/shard-" + std::to_string(i);
-    Status s = DB::Open(options.db_options, shard_dir, &db);
-    if (!s.ok()) {
-      return Status::IoError("open shard " + std::to_string(i) + ": " +
-                             s.ToString());
-    }
-    server->dbs_.push_back(std::move(db));
-  }
+  Status s = DB::Open(options.db_options, data_dir + "/shard-0",
+                      &server->db_);
+  if (!s.ok()) return Status::IoError("open db: " + s.ToString());
 
-  // Listener set: bind the first socket (resolving port 0 to a real
-  // ephemeral port), then bind the rest to the resolved port so the
-  // whole SO_REUSEPORT group shares it.
-  std::vector<int> listen_fds;
-  int port = options.server_port;
-  for (int i = 0; i < options.server_shards; ++i) {
-    int fd = -1;
-    Status s = CreateListener(options.server_bind, port,
-                              options.server_backlog, &fd);
-    if (!s.ok()) {
-      for (int old : listen_fds) ::close(old);
-      return s;
-    }
-    if (i == 0) port = BoundPort(fd);
-    listen_fds.push_back(fd);
-  }
-  server->port_ = port;
+  int listen_fd = -1;
+  s = CreateListener(options.server_bind, options.server_port,
+                     options.server_backlog, &listen_fd);
+  if (!s.ok()) return s;
+  server->port_ = BoundPort(listen_fd);
 
-  for (int i = 0; i < options.server_shards; ++i) {
-    auto loop = std::make_unique<EventLoop>(i, server.get());
-    Status s = loop->Init(listen_fds[static_cast<size_t>(i)]);
-    if (!s.ok()) {
-      // Init took ownership of its fd; close the not-yet-adopted rest.
-      for (int j = i + 1; j < options.server_shards; ++j) {
-        ::close(listen_fds[static_cast<size_t>(j)]);
-      }
-      return s;
-    }
+  int& threads = server->opts_.server_threads;  // Resolve 0 in place.
+  if (threads == 0) {
+    threads =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
+  for (int i = 0; i < threads; ++i) {
+    auto loop = std::make_unique<EventLoop>(server.get());
+    // Loop 0 owns the listener from Init on, even when Init fails.
+    s = loop->Init(i == 0 ? listen_fd : -1);
+    if (!s.ok()) return s;
     server->loops_.push_back(std::move(loop));
   }
   for (auto& loop : server->loops_) {
@@ -199,9 +155,28 @@ void MonkeyServer::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  loops_.clear();  // Destroys the remaining connections + sockets.
-  // Shard DBs stay open until destruction: stats, INFO text, and metrics
-  // remain readable after Stop (the bench reads its counters post-run).
+  // Destroys the connections, their sockets and any socket still waiting
+  // in an inbox. The DB stays open until destruction: stats, INFO text,
+  // and metrics remain readable after Stop (the bench reads its counters
+  // post-run).
+  loops_.clear();
+}
+
+EventLoop* MonkeyServer::LeastLoadedLoop() {
+  const size_t n = loops_.size();
+  size_t best = next_loop_ % n;
+  for (size_t k = 1; k < n; ++k) {
+    const size_t i = (next_loop_ + k) % n;
+    if (loops_[i]->connections() < loops_[best]->connections()) best = i;
+  }
+  next_loop_ = best + 1;
+  return loops_[best].get();
+}
+
+std::vector<size_t> MonkeyServer::LoopConnectionsForTesting() const {
+  std::vector<size_t> counts;
+  for (const auto& loop : loops_) counts.push_back(loop->connections());
+  return counts;
 }
 
 MonkeyServer::EngineCalls MonkeyServer::engine_calls() const {
@@ -215,7 +190,7 @@ MonkeyServer::EngineCalls MonkeyServer::engine_calls() const {
 
 size_t MonkeyServer::live_connections() const {
   size_t total = 0;
-  for (const auto& loop : loops_) total += loop->live_connections();
+  for (const auto& loop : loops_) total += loop->connections();
   return total;
 }
 
@@ -248,10 +223,9 @@ void MonkeyServer::Execute(Connection* c,
       continue;
     }
     // Extend the run of same-class commands: they may be reordered
-    // against each other freely (reads share one snapshot per shard,
-    // writes commit as one batch per shard), but never across a
-    // class boundary — that is what preserves per-connection
-    // read-your-own-writes ordering.
+    // against each other freely (reads share one snapshot, writes
+    // commit as one batch), but never across a class boundary — that
+    // is what preserves per-connection read-your-own-writes ordering.
     size_t j = i + 1;
     while (j < n && (*cmds)[j].spec != nullptr &&
            (*cmds)[j].spec->cls == cls) {
@@ -298,8 +272,8 @@ void MonkeyServer::ExecuteReadRun(Connection* c,
     run.push_back(rc);
   }
 
-  // One engine interaction per shard: a batch becomes MultiGet, a
-  // singleton stays a plain Get.
+  // One engine interaction: a batch becomes MultiGet, a singleton stays
+  // a plain Get.
   std::vector<std::string> values(keys.size());
   std::vector<Status> statuses(keys.size());
   const bool timed = metrics_ != nullptr || slowlog_on;
@@ -309,42 +283,12 @@ void MonkeyServer::ExecuteReadRun(Connection* c,
                      static_cast<int64_t>(end - begin),
                      static_cast<int64_t>(keys.size()));
   const ReadOptions ropts;
-  if (router_.shards() == 1) {
-    if (keys.size() == 1) {
-      statuses[0] = dbs_[0]->Get(ropts, keys[0], &values[0]);
-      point_gets_.fetch_add(1, std::memory_order_relaxed);
-    } else if (keys.size() > 1) {
-      statuses = dbs_[0]->MultiGet(ropts, keys, &values);
-      multigets_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    std::vector<std::vector<size_t>> by_shard(
-        static_cast<size_t>(router_.shards()));
-    for (size_t k = 0; k < keys.size(); ++k) {
-      by_shard[static_cast<size_t>(router_.ShardOf(keys[k]))].push_back(k);
-    }
-    for (size_t s = 0; s < by_shard.size(); ++s) {
-      const std::vector<size_t>& idx = by_shard[s];
-      if (idx.empty()) continue;
-      if (idx.size() == 1) {
-        statuses[idx[0]] =
-            dbs_[s]->Get(ropts, keys[idx[0]], &values[idx[0]]);
-        point_gets_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      std::vector<Slice> shard_keys;
-      shard_keys.reserve(idx.size());
-      for (size_t k : idx) shard_keys.push_back(keys[k]);
-      std::vector<std::string> shard_values;
-      std::vector<Status> shard_statuses =
-          dbs_[s]->MultiGet(ropts, shard_keys, &shard_values);
-      multigets_.fetch_add(1, std::memory_order_relaxed);
-      // Reassemble in request order.
-      for (size_t k = 0; k < idx.size(); ++k) {
-        values[idx[k]] = std::move(shard_values[k]);
-        statuses[idx[k]] = shard_statuses[k];
-      }
-    }
+  if (keys.size() == 1) {
+    statuses[0] = db_->Get(ropts, keys[0], &values[0]);
+    point_gets_.fetch_add(1, std::memory_order_relaxed);
+  } else if (keys.size() > 1) {
+    statuses = db_->MultiGet(ropts, keys, &values);
+    multigets_.fetch_add(1, std::memory_order_relaxed);
   }
   cmd_span.Finish();
   const uint64_t elapsed = timed ? NowMicros() - start : 0;
@@ -411,86 +355,70 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
                                    const std::vector<ParsedCommand>& cmds,
                                    size_t begin, size_t end) {
   std::string* out = c->out();
-  const size_t nshards = static_cast<size_t>(router_.shards());
   const bool slowlog_on = opts_.slowlog_threshold_us > 0;
   TraceArmer trace_armer(slowlog_on || TraceSampleHead());
 
   // DEL needs to report how many of its keys existed; probe them all in
-  // one batched existence pass per shard before the deletes commit.
-  std::vector<std::vector<Slice>> del_keys(nshards);
+  // one batched existence pass before the deletes commit. del_keys holds
+  // every DEL key of the run in command order; the replies walk it again.
+  std::vector<Slice> del_keys;
   for (size_t i = begin; i < end; ++i) {
     const ParsedCommand& cmd = cmds[i];
     if (cmd.spec->id != CommandId::kDel ||
         CheckArity(*cmd.spec, cmd.args.size()) != nullptr) {
       continue;
     }
-    for (size_t a = 1; a < cmd.args.size(); ++a) {
-      del_keys[static_cast<size_t>(router_.ShardOf(cmd.args[a]))]
-          .push_back(cmd.args[a]);
-    }
+    del_keys.insert(del_keys.end(), cmd.args.begin() + 1, cmd.args.end());
   }
   const bool timed = metrics_ != nullptr || slowlog_on;
   const uint64_t start = timed ? NowMicros() : 0;
   TraceSpan cmd_span(TraceName::kServerCommand,
                      static_cast<int64_t>(cmds[begin].spec->id),
                      static_cast<int64_t>(end - begin), 0);
-  // exists[shard] maps key -> found (a key DEL'd twice in one run counts
-  // once per mention, matching sequential semantics closely enough for a
-  // batch that commits atomically).
-  std::vector<std::map<std::string, bool>> exists(nshards);
+  // A key DEL'd twice in one run counts once per mention, matching
+  // sequential semantics closely enough for a batch that commits
+  // atomically.
+  std::vector<Status> del_found;
   const ReadOptions ropts;
-  for (size_t s = 0; s < nshards; ++s) {
-    if (del_keys[s].empty()) continue;
-    if (del_keys[s].size() == 1) {
-      std::string scratch;
-      const Status st = dbs_[s]->Get(ropts, del_keys[s][0], &scratch);
-      point_gets_.fetch_add(1, std::memory_order_relaxed);
-      exists[s][del_keys[s][0].ToString()] = st.ok();
-      continue;
-    }
+  if (del_keys.size() == 1) {
+    std::string scratch;
+    del_found.push_back(db_->Get(ropts, del_keys[0], &scratch));
+    point_gets_.fetch_add(1, std::memory_order_relaxed);
+  } else if (del_keys.size() > 1) {
     std::vector<std::string> scratch;
-    const std::vector<Status> sts =
-        dbs_[s]->MultiGet(ropts, del_keys[s], &scratch);
+    del_found = db_->MultiGet(ropts, del_keys, &scratch);
     multigets_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t k = 0; k < del_keys[s].size(); ++k) {
-      exists[s][del_keys[s][k].ToString()] = sts[k].ok();
-    }
   }
 
-  // Build one WriteBatch per shard, in command order, and commit each
-  // through the group-commit path.
-  std::vector<WriteBatch> batches(nshards);
+  // Build one WriteBatch, in command order, and commit it through the
+  // group-commit path.
+  WriteBatch batch;
   for (size_t i = begin; i < end; ++i) {
     const ParsedCommand& cmd = cmds[i];
     if (CheckArity(*cmd.spec, cmd.args.size()) != nullptr) continue;
     switch (cmd.spec->id) {
       case CommandId::kSet:
-        batches[static_cast<size_t>(router_.ShardOf(cmd.args[1]))].Put(
-            cmd.args[1], cmd.args[2]);
+        batch.Put(cmd.args[1], cmd.args[2]);
         break;
       case CommandId::kMSet:
         for (size_t a = 1; a + 1 < cmd.args.size(); a += 2) {
-          batches[static_cast<size_t>(router_.ShardOf(cmd.args[a]))].Put(
-              cmd.args[a], cmd.args[a + 1]);
+          batch.Put(cmd.args[a], cmd.args[a + 1]);
         }
         break;
       case CommandId::kDel:
         for (size_t a = 1; a < cmd.args.size(); ++a) {
-          batches[static_cast<size_t>(router_.ShardOf(cmd.args[a]))]
-              .Delete(cmd.args[a]);
+          batch.Delete(cmd.args[a]);
         }
         break;
       default:
         break;
     }
   }
-  std::vector<Status> shard_status(nshards);
+  Status write_status;
   const WriteOptions wopts;  // Durability comes from db_options.sync_writes.
-  int64_t total_ops = 0;
-  for (size_t s = 0; s < nshards; ++s) {
-    if (batches[s].count() == 0) continue;
-    total_ops += static_cast<int64_t>(batches[s].count());
-    shard_status[s] = dbs_[s]->Write(wopts, batches[s]);
+  const int64_t total_ops = static_cast<int64_t>(batch.count());
+  if (total_ops > 0) {
+    write_status = db_->Write(wopts, batch);
     engine_writes_.fetch_add(1, std::memory_order_relaxed);
   }
   if (cmd_span.armed()) {
@@ -503,9 +431,10 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
     RecordSlowRun(cmds[begin], end - begin, elapsed);
   }
 
-  // Replies, in command order. A failed shard write fails every command
-  // of the run that touched that shard.
+  // Replies, in command order. A failed write fails every command of
+  // the run.
   uint64_t n_set = 0, n_mset = 0, n_del = 0;
+  size_t next_del_key = 0;
   for (size_t i = begin; i < end; ++i) {
     const ParsedCommand& cmd = cmds[i];
     const char* arity_error = CheckArity(*cmd.spec, cmd.args.size());
@@ -513,17 +442,8 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
       resp::AppendError(out, arity_error);
       continue;
     }
-    const Status* failed = nullptr;
-    for (size_t a = 1; a < cmd.args.size();
-         a += cmd.spec->id == CommandId::kMSet ? 2 : 1) {
-      const size_t s = static_cast<size_t>(router_.ShardOf(cmd.args[a]));
-      if (!shard_status[s].ok()) {
-        failed = &shard_status[s];
-        break;
-      }
-    }
-    if (failed != nullptr) {
-      const std::string msg = "ERR " + failed->ToString();
+    if (!write_status.ok()) {
+      const std::string msg = "ERR " + write_status.ToString();
       resp::AppendError(out, msg);
       continue;
     }
@@ -539,10 +459,7 @@ void MonkeyServer::ExecuteWriteRun(Connection* c,
       case CommandId::kDel: {
         long long removed = 0;
         for (size_t a = 1; a < cmd.args.size(); ++a) {
-          const size_t s =
-              static_cast<size_t>(router_.ShardOf(cmd.args[a]));
-          auto it = exists[s].find(cmd.args[a].ToString());
-          if (it != exists[s].end() && it->second) ++removed;
+          if (del_found[next_del_key++].ok()) ++removed;
         }
         resp::AppendInteger(out, removed);
         ++n_del;
@@ -603,12 +520,10 @@ void MonkeyServer::ExecuteAdmin(Connection* c, const ParsedCommand& cmd) {
     case CommandId::kDbSize: {
       // Approximate: on-disk entries include tombstones and superseded
       // versions until compaction drops them (documented in DESIGN §13).
-      uint64_t total = 0;
-      for (const auto& db : dbs_) {
-        const DbStats stats = db->GetStats();
-        total += stats.memtable_entries + stats.total_disk_entries;
-      }
-      resp::AppendInteger(out, static_cast<long long>(total));
+      const DbStats stats = db_->GetStats();
+      resp::AppendInteger(out, static_cast<long long>(
+                                   stats.memtable_entries +
+                                   stats.total_disk_entries));
       break;
     }
     case CommandId::kInfo:
@@ -713,40 +628,35 @@ void MonkeyServer::DoScan(Connection* c, const ParsedCommand& cmd) {
   const long long budget = std::max<long long>(count * 8, 512);
   long long examined = 0;
   std::vector<std::string> collected;
-  bool exhausted = false;
   const ReadOptions ropts;
-  while (state.shard < router_.shards()) {
-    auto iter = dbs_[static_cast<size_t>(state.shard)]->NewIterator(ropts);
-    scans_.fetch_add(1, std::memory_order_relaxed);
-    if (state.last_key.empty()) {
-      iter->SeekToFirst();
-    } else {
-      iter->Seek(state.last_key);
-      if (iter->Valid() && iter->key().compare(state.last_key) == 0) {
-        iter->Next();
-      }
-    }
-    while (iter->Valid() &&
-           static_cast<long long>(collected.size()) < count &&
-           examined < budget) {
-      const Slice key = iter->key();
-      if (!have_pattern || GlobMatch(pattern, key)) {
-        collected.push_back(key.ToString());
-      }
-      state.last_key = key.ToString();
-      ++examined;
+  auto iter = db_->NewIterator(ropts);
+  scans_.fetch_add(1, std::memory_order_relaxed);
+  if (state.last_key.empty()) {
+    iter->SeekToFirst();
+  } else {
+    iter->Seek(state.last_key);
+    if (iter->Valid() && iter->key().compare(state.last_key) == 0) {
       iter->Next();
     }
-    if (!iter->status().ok()) {
-      const std::string msg = "ERR " + iter->status().ToString();
-      resp::AppendError(out, msg);
-      return;
-    }
-    if (iter->Valid()) break;  // Count or budget reached mid-shard.
-    ++state.shard;
-    state.last_key.clear();
   }
-  exhausted = state.shard >= router_.shards();
+  while (iter->Valid() &&
+         static_cast<long long>(collected.size()) < count &&
+         examined < budget) {
+    const Slice key = iter->key();
+    if (!have_pattern || GlobMatch(pattern, key)) {
+      collected.push_back(key.ToString());
+    }
+    state.last_key = key.ToString();
+    ++examined;
+    iter->Next();
+  }
+  if (!iter->status().ok()) {
+    const std::string msg = "ERR " + iter->status().ToString();
+    resp::AppendError(out, msg);
+    return;
+  }
+  // Count or budget reached with keys left: hand out a cursor.
+  const bool exhausted = !iter->Valid();
 
   std::string next_cursor = "0";
   if (!exhausted) {
@@ -786,7 +696,7 @@ void MonkeyServer::DoConfig(Connection* c, const ParsedCommand& cmd) {
       {"appendonly", "no"},
       {"maxmemory", "0"},
       {"tcp-nodelay", opts_.server_tcp_nodelay ? "yes" : "no"},
-      {"server_shards", U64(static_cast<uint64_t>(router_.shards()))},
+      {"server_threads", U64(static_cast<uint64_t>(threads()))},
       {"server_port", U64(static_cast<uint64_t>(port_))},
       {"server_max_pipeline",
        U64(static_cast<uint64_t>(opts_.server_max_pipeline))},
@@ -937,8 +847,7 @@ std::string MonkeyServer::InfoText() const {
   info += "# Server\r\n";
   info += "monkeydb_version:0.8\r\n";
   info += "tcp_port:" + U64(static_cast<uint64_t>(port_)) + "\r\n";
-  info += "server_shards:" + U64(static_cast<uint64_t>(router_.shards())) +
-          "\r\n";
+  info += "server_threads:" + U64(static_cast<uint64_t>(threads())) + "\r\n";
   info += std::string("io_backend_configured:") +
           (opts_.db_options.io_backend == IoBackend::kUring ? "uring"
                                                             : "posix") +
@@ -981,42 +890,40 @@ std::string MonkeyServer::InfoText() const {
              depth.avg, depth.p99);
     info += buf;
   }
-  for (int s = 0; s < router_.shards(); ++s) {
-    const DbStats stats = dbs_[static_cast<size_t>(s)]->GetStats();
-    info += "# Shard" + std::to_string(s) + "\r\n";
-    info += "memtable_entries:" + U64(stats.memtable_entries) + "\r\n";
-    info += "disk_entries:" + U64(stats.total_disk_entries) + "\r\n";
-    info += "runs:" + U64(stats.total_runs) + "\r\n";
-    info += "deepest_level:" +
-            U64(static_cast<uint64_t>(stats.deepest_level)) + "\r\n";
-    info += "flushes:" + U64(stats.flushes) + "\r\n";
-    info += "merges:" + U64(stats.merges) + "\r\n";
-    info += "write_groups:" + U64(stats.write_groups) + "\r\n";
-    info += "write_group_batches:" + U64(stats.write_group_batches) +
+  const DbStats stats = db_->GetStats();
+  info += "# Engine\r\n";
+  info += "memtable_entries:" + U64(stats.memtable_entries) + "\r\n";
+  info += "disk_entries:" + U64(stats.total_disk_entries) + "\r\n";
+  info += "runs:" + U64(stats.total_runs) + "\r\n";
+  info += "deepest_level:" +
+          U64(static_cast<uint64_t>(stats.deepest_level)) + "\r\n";
+  info += "flushes:" + U64(stats.flushes) + "\r\n";
+  info += "merges:" + U64(stats.merges) + "\r\n";
+  info += "write_groups:" + U64(stats.write_groups) + "\r\n";
+  info += "write_group_batches:" + U64(stats.write_group_batches) +
+          "\r\n";
+  UringStatsSnapshot io;
+  if (db_->GetUringStats(&io)) {
+    info += "io_uring_active:1\r\n";
+    info += "uring_sqes_submitted:" + U64(io.sqes_submitted) + "\r\n";
+    info += "uring_batch_submits:" + U64(io.batch_submits) + "\r\n";
+    info += "uring_batched_requests:" + U64(io.batched_requests) +
             "\r\n";
-    UringStatsSnapshot io;
-    if (dbs_[static_cast<size_t>(s)]->GetUringStats(&io)) {
-      info += "io_uring_active:1\r\n";
-      info += "uring_sqes_submitted:" + U64(io.sqes_submitted) + "\r\n";
-      info += "uring_batch_submits:" + U64(io.batch_submits) + "\r\n";
-      info += "uring_batched_requests:" + U64(io.batched_requests) +
-              "\r\n";
-      char buf[64];
-      snprintf(buf, sizeof(buf), "uring_batched_per_syscall:%.2f\r\n",
-               io.BatchedPerSyscall());
-      info += buf;
-      info += "uring_short_read_retries:" + U64(io.short_read_retries) +
-              "\r\n";
-      info += "uring_fixed_file_reads:" + U64(io.fixed_file_reads) +
-              "\r\n";
-      info += "uring_fixed_buffer_reads:" + U64(io.fixed_buffer_reads) +
-              "\r\n";
-      info += "uring_direct_io_fallbacks:" + U64(io.direct_io_fallbacks) +
-              "\r\n";
-      info += "uring_bounce_copies:" + U64(io.bounce_copies) + "\r\n";
-    } else {
-      info += "io_uring_active:0\r\n";
-    }
+    char buf[64];
+    snprintf(buf, sizeof(buf), "uring_batched_per_syscall:%.2f\r\n",
+             io.BatchedPerSyscall());
+    info += buf;
+    info += "uring_short_read_retries:" + U64(io.short_read_retries) +
+            "\r\n";
+    info += "uring_fixed_file_reads:" + U64(io.fixed_file_reads) +
+            "\r\n";
+    info += "uring_fixed_buffer_reads:" + U64(io.fixed_buffer_reads) +
+            "\r\n";
+    info += "uring_direct_io_fallbacks:" + U64(io.direct_io_fallbacks) +
+            "\r\n";
+    info += "uring_bounce_copies:" + U64(io.bounce_copies) + "\r\n";
+  } else {
+    info += "io_uring_active:0\r\n";
   }
   return info;
 }
@@ -1024,32 +931,7 @@ std::string MonkeyServer::InfoText() const {
 // --- HTTP /metrics ----------------------------------------------------
 
 std::string MonkeyServer::MetricsText() const {
-  std::string merged;
-  std::set<std::string> declared;
-  for (int s = 0; s < router_.shards(); ++s) {
-    const std::string dump =
-        dbs_[static_cast<size_t>(s)]->DumpMetrics(
-            DB::MetricsFormat::kPrometheus);
-    size_t pos = 0;
-    while (pos < dump.size()) {
-      size_t eol = dump.find('\n', pos);
-      if (eol == std::string::npos) eol = dump.size();
-      const std::string line = dump.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) continue;
-      if (line[0] == '#') {
-        // "# HELP name ..." / "# TYPE name ..." — emit once per family
-        // and kind across shards.
-        if (declared.insert(line.substr(0, line.find(' ', 7))).second) {
-          merged += line;
-          merged += '\n';
-        }
-        continue;
-      }
-      merged += AddShardLabel(line, s);
-      merged += '\n';
-    }
-  }
+  const std::string engine = db_->DumpMetrics(DB::MetricsFormat::kPrometheus);
 
   // The server's own series (distinct monkey_server_* namespace).
   PrometheusWriter w;
@@ -1073,8 +955,8 @@ std::string MonkeyServer::MetricsText() const {
             static_cast<double>(calls.scans));
   w.Gauge("monkey_server_live_connections", "Currently open connections",
           static_cast<double>(live_connections()));
-  w.Gauge("monkey_server_shards", "Keyspace shards (DB instances)",
-          static_cast<double>(router_.shards()));
+  w.Gauge("monkey_server_threads", "Event-loop threads",
+          static_cast<double>(threads()));
   w.Gauge("monkey_server_engine_calls_per_command",
           "Engine calls divided by commands served (pipelining win)",
           commands == 0 ? 0.0
@@ -1108,7 +990,7 @@ std::string MonkeyServer::MetricsText() const {
                 metrics_->SnapshotHistogram(h));
     }
   }
-  return merged + w.str();
+  return engine + w.str();
 }
 
 std::string MonkeyServer::HandleHttpRequest(const Slice& method,

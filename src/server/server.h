@@ -1,17 +1,18 @@
-// MonkeyServer: the sharded RESP serving layer over MonkeyDB (DESIGN.md
-// §13 "Serving layer").
+// MonkeyServer: the RESP serving layer over MonkeyDB (DESIGN.md §13
+// "Serving layer").
 //
-// Topology: server_shards independent DB instances (hash-partitioned
-// keyspace, ShardRouter), each paired with an event-loop thread and an
-// SO_REUSEPORT listener on the same port. The engine batching built in
-// PRs 1-7 is the hot path: a connection's pipelined reads become one
-// DB::MultiGet per shard and its pipelined writes one WriteBatch per
-// shard submitted through the group-commit leader, so N pipelined
-// commands cost ~1 engine call instead of N.
+// Topology: one DB served by server_threads event loops. Loop 0 owns the
+// listener and hands each accepted connection to the loop with the
+// fewest connections; a connection stays on its loop for life, so its
+// commands run in order while other connections run theirs in parallel.
+// The engine batching is the hot path: a connection's pipelined reads
+// become one DB::MultiGet and its pipelined writes one WriteBatch
+// submitted through the group-commit leader, so N pipelined commands
+// cost ~1 engine call instead of N.
 //
 // Commands: GET SET DEL MGET MSET EXISTS SCAN PING ECHO INFO CONFIG GET
 // COMMAND SELECT DBSIZE QUIT SHUTDOWN — plus a GET-only HTTP /metrics
-// endpoint (Prometheus text, aggregated across shards) on the same port.
+// endpoint (Prometheus text) on the same port.
 
 #ifndef MONKEYDB_SERVER_SERVER_H_
 #define MONKEYDB_SERVER_SERVER_H_
@@ -31,7 +32,6 @@
 #include "server/command.h"
 #include "server/connection.h"
 #include "server/event_loop.h"
-#include "server/shard_router.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -52,8 +52,10 @@ class MonkeyServer {
     }
   };
 
-  // Opens shard DBs under <data_dir>/shard-<i>, binds the listener set,
-  // and spawns the event-loop threads. On success the server is live.
+  // Opens the DB under <data_dir>/shard-0, binds the listener, and
+  // spawns the event-loop threads. On success the server is live. A
+  // data_dir holding a shard-1 (written by the former hash-sharded
+  // layout) is refused with InvalidArgument rather than half-served.
   static Status Start(const ServerOptions& options,
                       const std::string& data_dir,
                       std::unique_ptr<MonkeyServer>* out);
@@ -63,19 +65,20 @@ class MonkeyServer {
   MonkeyServer(const MonkeyServer&) = delete;
   MonkeyServer& operator=(const MonkeyServer&) = delete;
 
-  // Drains the loops, joins their threads, and closes the shard DBs.
+  // Drains the loops, joins their threads, and closes every connection.
   // Idempotent; must not be called from an event-loop thread (SHUTDOWN
   // sets shutdown_requested() instead and the owner calls Stop).
   void Stop();
 
   // The actually-bound port (differs from options when it was 0).
   int port() const { return port_; }
-  int shards() const { return router_.shards(); }
+  int threads() const { return opts_.server_threads; }  // 0 resolved.
 
   const ServerOptions& options() const { return opts_; }
   MetricsRegistry* metrics() const { return metrics_.get(); }
-  DB* shard_db(int i) const { return dbs_[static_cast<size_t>(i)].get(); }
-  const ShardRouter& router() const { return router_; }
+  DB* db() const { return db_.get(); }
+  // The one DB, under the name it had when there was one per shard.
+  DB* shard_db(int /*i*/) const { return db(); }
 
   EngineCalls engine_calls() const;
   uint64_t commands_processed() const {
@@ -91,16 +94,17 @@ class MonkeyServer {
     return shutdown_requested_.load(std::memory_order_relaxed);
   }
 
-  // Redis-style INFO text: server/clients/stats sections plus one
-  // section per shard with engine stats, the arena backing tier, and the
-  // io_uring substrate counters (DB::GetUringStats) when that backend is
-  // live.
+  // Redis-style INFO text: server/clients/stats sections plus an engine
+  // section with DB stats and the io_uring substrate counters
+  // (DB::GetUringStats) when that backend is live.
   std::string InfoText() const;
 
-  // Prometheus exposition aggregated across shards: every shard's
-  // DB::DumpMetrics(kPrometheus) merged under a shard="<i>" label (one
-  // HELP/TYPE per family), followed by the server's own series.
+  // Prometheus exposition: DB::DumpMetrics(kPrometheus) followed by the
+  // server's own series.
   std::string MetricsText() const;
+
+  // Connections each loop holds, by loop index (tests check the spread).
+  std::vector<size_t> LoopConnectionsForTesting() const;
 
   // --- Called by connections (event-loop threads) ---
 
@@ -115,11 +119,15 @@ class MonkeyServer {
     total_connections_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // The loop a new connection goes to: fewest connections, ties broken
+  // round-robin. Called only by loop 0's thread, the acceptor.
+  EventLoop* LeastLoadedLoop();
+
  private:
-  MonkeyServer(const ServerOptions& options, std::string data_dir);
+  explicit MonkeyServer(const ServerOptions& options);
 
   // Executes cmds[begin, end) — a run of consecutive read-class /
-  // write-class commands — as one batched engine interaction per shard.
+  // write-class commands — as one batched engine interaction.
   void ExecuteReadRun(Connection* c,
                       const std::vector<ParsedCommand>& cmds, size_t begin,
                       size_t end);
@@ -143,23 +151,21 @@ class MonkeyServer {
                      uint64_t duration_us);
 
   // SCAN cursor registry. Cursors are opaque uint64 tokens handed to the
-  // client; state is (shard, last key returned). Bounded: the oldest
-  // cursor is evicted past kMaxScanCursors (an abandoned SCAN must not
-  // leak server memory).
+  // client; state is the last key returned. Bounded: the oldest cursor is
+  // evicted past kMaxScanCursors (an abandoned SCAN must not leak server
+  // memory).
   struct ScanState {
-    int shard = 0;
-    std::string last_key;  // Empty = start of shard.
+    std::string last_key;  // Empty = start of the keyspace.
     uint64_t lru = 0;
   };
   static constexpr size_t kMaxScanCursors = 4096;
 
   ServerOptions opts_;
-  const std::string data_dir_;
-  ShardRouter router_;
 
-  std::vector<std::unique_ptr<DB>> dbs_;
+  std::unique_ptr<DB> db_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::thread> threads_;
+  size_t next_loop_ = 0;  // Round-robin tie-break; loop 0's thread only.
   std::unique_ptr<MetricsRegistry> metrics_;
   int port_ = 0;
   bool started_ = false;

@@ -1,5 +1,5 @@
 // monkey_server: the standalone RESP server binary (README quick start:
-//   monkey_server --port 6380 --shards 4 --data-dir /tmp/monkeydb
+//   monkey_server --port 6380 --threads 4 --data-dir /tmp/monkeydb
 // then talk to it with redis-cli, tools/monkey_cli, or curl /metrics).
 
 #include <csignal>
@@ -19,19 +19,19 @@ void HandleSignal(int) { g_signalled = 1; }
 
 void Usage(const char* argv0) {
   fprintf(stderr,
-          "usage: %s [--port N] [--shards N] [--bind ADDR]\n"
+          "usage: %s [--port N] [--threads N] [--bind ADDR]\n"
           "          [--data-dir PATH] [--max-pipeline N]\n"
           "          [--engine-metrics] [--no-metrics]\n"
           "          [--slowlog-us N] [--trace-sample R]\n"
           "\n"
           "  --port N          listen port (default 6380; 0 = ephemeral)\n"
-          "  --shards N        keyspace shards = DB instances = event-loop\n"
-          "                    threads (default 1)\n"
+          "  --threads N       event-loop threads serving the one DB\n"
+          "                    (default 0 = one per hardware thread)\n"
           "  --bind ADDR       bind address (default 127.0.0.1)\n"
-          "  --data-dir PATH   database root; shard i lives in\n"
-          "                    PATH/shard-<i> (default ./monkeydb-data)\n"
+          "  --data-dir PATH   database root; the DB lives in\n"
+          "                    PATH/shard-0 (default ./monkeydb-data)\n"
           "  --max-pipeline N  commands coalesced per tick (default 1024)\n"
-          "  --engine-metrics  enable the per-shard engine histograms too\n"
+          "  --engine-metrics  enable the engine histograms too\n"
           "  --no-metrics      disable the server metrics registry\n"
           "  --slowlog-us N    log runs slower than N microseconds, with\n"
           "                    their span trees (SLOWLOG GET; default off)\n"
@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--port") {
       opts.server_port = atoi(next("--port"));
-    } else if (arg == "--shards") {
-      opts.server_shards = atoi(next("--shards"));
+    } else if (arg == "--threads") {
+      opts.server_threads = atoi(next("--threads"));
     } else if (arg == "--bind") {
       opts.server_bind = next("--bind");
     } else if (arg == "--data-dir") {
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
             s.ToString().c_str());
     return 1;
   }
-  printf("monkey_server: listening on %s:%d (%d shard%s, data in %s)\n",
-         opts.server_bind.c_str(), server->port(), server->shards(),
-         server->shards() == 1 ? "" : "s", data_dir.c_str());
+  printf("monkey_server: listening on %s:%d (%d thread%s, data in %s)\n",
+         opts.server_bind.c_str(), server->port(), server->threads(),
+         server->threads() == 1 ? "" : "s", data_dir.c_str());
   fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);

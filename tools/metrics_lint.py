@@ -143,8 +143,7 @@ def main():
         if name not in sampled:
             errors.append(f"required metric {name} missing")
     for name in ("monkey_predicted_fpr", "monkey_measured_fpr"):
-        # The level label may ride with others (the serving layer adds
-        # shard="i" when it merges per-shard dumps), so match within the
+        # The level label may ride with others, so match within the
         # label set instead of requiring level to be the only label.
         if name in sampled and not re.search(
             rf'{name}\{{[^}}]*level="1"', text
